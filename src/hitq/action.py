@@ -38,14 +38,10 @@ def group_generators(q: int, kind: str) -> list:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _space_basis(space) -> tuple:
-    return space.admissible if hasattr(space, "admissible") else space.basis
-
-
 def action_matrix(g, space) -> list:
     """Columns (as bit vectors) of the induced action of g on the space."""
     cols = []
-    for m in _space_basis(space):
+    for m in space.admissible:
         cols.append(space.reduce_vec(poly.linear_substitute(g, frozenset({m}))))
     return cols
 
@@ -62,7 +58,7 @@ def _fixed_point_rows(cols: list, dim: int) -> list:
 
 def invariant_subspace(space, gens) -> list:
     """Basis vectors (space coordinates) of the common fixed points of gens."""
-    dim = len(_space_basis(space))
+    dim = space.dim
     rows: list = []
     for g in gens:
         rows.extend(_fixed_point_rows(action_matrix(g, space), dim))

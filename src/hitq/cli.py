@@ -72,9 +72,19 @@ def _spec(command, q, n, degrees, fmt, cache, jobs, allow_long, long_threshold,
                    jobs if jobs > 0 else (os.cpu_count() or 1),
                    allow_long, long_threshold)
     spec.validate()
-    if spec.cache:
-        os.environ["HITQ_CACHE"] = spec.cache
+    _override_cache(spec.cache)
     return spec
+
+
+def _override_cache(cache: str | None) -> None:
+    """Point HITQ_CACHE at `cache` until the current command returns."""
+    if not cache:
+        return
+    before = os.environ.get("HITQ_CACHE")
+    os.environ["HITQ_CACHE"] = cache
+    restore = ((lambda: os.environ.pop("HITQ_CACHE", None)) if before is None
+               else (lambda: os.environ.update(HITQ_CACHE=before)))
+    click.get_current_context().call_on_close(restore)
 
 
 def _common_options(f):
@@ -369,8 +379,7 @@ def verify(suite_name, suite_opt, cache):
         raise click.UsageError(f"provide a suite name; available: {available}")
     if name not in SUITES:
         raise click.UsageError(f"unknown suite {name!r}; available: {available}")
-    if cache:
-        os.environ["HITQ_CACHE"] = cache
+    _override_cache(cache)
     npass = nfail = 0
     for label, ok in SUITES[name]():
         click.echo(("PASS " if ok else "FAIL ") + label)

@@ -8,6 +8,7 @@ polynomial side, which makes the order/exponent pairing a set intersection.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from . import linalg
@@ -18,14 +19,7 @@ DualElement = frozenset  # frozenset[DividedMonomial]
 
 
 def dual_element(terms: Iterable[DividedMonomial]) -> DualElement:
-    out: set = set()
-    for t in terms:
-        t = tuple(t)
-        if t in out:
-            out.discard(t)
-        else:
-            out.add(t)
-    return frozenset(out)
+    return linalg.xor_terms(map(tuple, terms))
 
 
 def _dual_sq_monomial(t: int, m: DividedMonomial) -> list:
@@ -51,17 +45,12 @@ def _dual_sq_monomial(t: int, m: DividedMonomial) -> list:
 
 def dual_sq(t: int, e: Iterable[DividedMonomial]) -> DualElement:
     """Right action of Sq^t on a dual element."""
-    assert t >= 0
+    if t < 0:
+        raise ValueError(f"Sq^{t}: t must be non-negative")
     if t == 0:
         return dual_element(e)
-    out: set = set()
-    for m in e:
-        for r in _dual_sq_monomial(t, tuple(m)):
-            if r in out:
-                out.discard(r)
-            else:
-                out.add(r)
-    return frozenset(out)
+    return linalg.xor_terms(
+        r for m in e for r in _dual_sq_monomial(t, tuple(m)))
 
 
 def dual_degree(e: DualElement) -> int:
@@ -113,34 +102,6 @@ def pairing(e: Iterable[DividedMonomial], f: Polynomial) -> int:
     return len(e & set(f)) & 1
 
 
-def _solve_particular(eqs: list) -> int | None:
-    """One solution of a GF(2) system given as (column mask, rhs bit) pairs.
-
-    Leftmost-pivot elimination with free variables set to zero; returns the
-    solution as a column bitmask, or None when inconsistent.
-    """
-    pivots: dict[int, tuple] = {}
-    for mask, rhs in eqs:
-        while mask:
-            c = (mask & -mask).bit_length() - 1
-            if c in pivots:
-                pm, pr = pivots[c]
-                mask ^= pm
-                rhs ^= pr
-            else:
-                pivots[c] = (mask, rhs)
-                break
-        if not mask and rhs:
-            return None
-    sol = 0
-    for c in sorted(pivots, reverse=True):
-        mask, rhs = pivots[c]
-        # columns above c are already decided; bit c of sol is still clear
-        if rhs ^ ((mask & sol).bit_count() & 1):
-            sol |= 1 << c
-    return sol
-
-
 def coinvariant_generators(q: int, n: int, gens) -> list:
     """Primitive duals pairing delta-wise against the invariant classes.
 
@@ -151,35 +112,28 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
     from . import action, hit
 
     space = hit.quotient_basis(q, n)
-    inv_vectors = action.invariant_subspace(space, gens)
-    if not inv_vectors:
+    invs = [space.poly_of_vec(v) for v in action.invariant_subspace(space, gens)]
+    if not invs:
         return []
-    invs = [
-        frozenset(space.admissible[c] for c in linalg.support(v))
-        for v in inv_vectors
-    ]
     prims = primitive_basis(q, n)
-    pair = [[pairing(p, u) for p in prims] for u in invs]
+    # column k: bit b set when primitive k pairs to 1 with invariant b
+    columns = [
+        linalg.from_support(b for b, u in enumerate(invs) if pairing(p, u))
+        for p in prims
+    ]
     out = []
     for a in range(len(invs)):
-        eqs = []
-        for b, row in enumerate(pair):
-            mask = 0
-            for k, bit in enumerate(row):
-                if bit:
-                    mask |= 1 << k
-            eqs.append((mask, 1 if b == a else 0))
-        sol = _solve_particular(eqs)
+        sol = linalg.solve_combination(columns, 1 << a)
         if sol is None:
             raise RuntimeError(
                 f"no primitive pairs against invariant {a} at (q={q}, n={n}); "
                 "duality between primitives and the quotient is broken"
             )
-        e = frozenset()
-        for k in linalg.support(sol):
-            e = e.symmetric_difference(prims[k])
+        e = linalg.xor_terms(
+            chain.from_iterable(prims[k] for k in linalg.support(sol)))
         cert = tuple(pairing(e, u) for u in invs)
-        assert cert == tuple(1 if b == a else 0 for b in range(len(invs)))
+        if cert != tuple(int(b == a) for b in range(len(invs))):
+            raise RuntimeError(f"primitive {a} at (q={q}, n={n}) pairs as {cert}")
         out.append((e, cert))
     return out
 

@@ -1,12 +1,16 @@
-"""Hit subspaces Abar(P_q)_n, admissible bases of Q^q_n, weight quotients, Kameko kernel.
+"""Hit subspaces Abar(P_q)_n, admissible bases of Q^q_n and its weight blocks, Kameko kernel.
 
 Degree-n monomials, sorted ascending in the weight-then-exponent order, are
 the coordinates of one big GF(2) elimination; the greatest monomial of a hit
 element is its pivot, and the non-pivot monomials represent the quotient
 basis.  For large degrees the elimination is seeded: every monomial whose
-weight is below the minimal spike's weight is certainly hit, so those
-coordinates enter as singleton pivot rows and the Sq^{2^i} generator stream
-is projected onto the surviving coordinates.
+weight is below the minimal spike's weight is certainly hit (Singer's
+criterion), so those coordinates enter as singleton pivot rows and the
+Sq^{2^i} generator stream is projected onto the surviving coordinates.
+
+One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
+(Q^q_n)^omega; a block's relations are the shared elimination's rows
+projected to the exact-omega coordinates.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterable
 
 from . import linalg, poly
-from .poly import Monomial, Polynomial, WeightVector
+from .poly import Polynomial, WeightVector
 
 CACHE_VERSION = 1
 
@@ -59,10 +64,6 @@ class HitSubspace:
     n: int
     echelon: linalg.EchelonBasis
     engine: str = "full"
-
-    @property
-    def rank(self) -> int:
-        return self.echelon.rank
 
 
 def _universe(q: int, n: int) -> tuple:
@@ -106,7 +107,8 @@ def _generator_stream(q: int, n: int):
 
 def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
     """Span of the Sq^{2^i} images in degree n (equals Abar(P_q)_n)."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     width = len(_universe(q, n))
     if engine == "auto":
         if n <= 24:
@@ -118,14 +120,16 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
     basis = linalg.EchelonBasis(width)
     if engine == "wood":
         # mu(n) > q: every monomial is hit, no elimination needed
-        assert poly.mu(n) > q
+        if poly.mu(n) <= q:
+            raise ValueError(f"wood engine needs mu({n}) > {q}")
         for c in range(width):
             basis.insert(1 << c)
         return HitSubspace(q, n, basis, engine)
     mask = (1 << width) - 1
     if engine == "seeded":
         spike = poly.minimal_spike(q, n)
-        assert spike is not None, "seeding needs a minimal spike (mu(n) <= q)"
+        if spike is None:
+            raise ValueError(f"seeded engine needs a minimal spike: mu({n}) > {q}")
         spike_w = poly.weight_of(spike)
         for c, m in enumerate(_universe(q, n)):
             if poly.weight_of(m) < spike_w:
@@ -144,21 +148,35 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
 
 @dataclass
 class QuotientBasis:
-    """Admissible (non-pivot) monomials spanning Q^q_n, plus the hit reducer."""
+    """Q^q_n, or its weight block (Q^q_n)^omega, over admissible monomials.
+
+    ``echelon`` holds the relations over degree-n monomial coordinates; the
+    admissible monomials are the non-pivot coordinates of the space, in
+    coordinate order.  ``omega`` is None for the whole quotient.
+    """
 
     q: int
     n: int
     admissible: tuple
-    hit: HitSubspace
-    _coord_to_pos: dict = field(default_factory=dict, repr=False)
+    echelon: linalg.EchelonBasis
+    omega: WeightVector | None
+    _coord_to_pos: dict
 
     @property
     def dim(self) -> int:
         return len(self.admissible)
 
     def reduce_vec(self, f: Polynomial) -> int:
-        """Coordinates of [f] over the admissible basis."""
-        v = self.hit.echelon.reduce(vectorize(f, self.q, self.n))
+        """Coordinates of [f] over the admissible basis; zero iff f is a relation.
+
+        In a weight block, lower-weight terms die and higher ones raise.
+        """
+        if self.omega is not None:
+            high = next((m for m in f if poly.weight_of(m) > self.omega), None)
+            if high is not None:
+                raise ValueError(f"term {high} has weight above {self.omega}")
+            f = [m for m in f if poly.weight_of(m) == self.omega]
+        v = self.echelon.reduce(vectorize(f, self.q, self.n))
         out = 0
         for c in linalg.support(v):
             out |= 1 << self._coord_to_pos[c]
@@ -168,40 +186,37 @@ class QuotientBasis:
         return frozenset(self.admissible[k] for k in linalg.support(w))
 
 
-def _make_quotient(q: int, n: int, hs: HitSubspace) -> QuotientBasis:
+def _make_quotient(q: int, n: int, echelon: linalg.EchelonBasis,
+                   coords: Iterable[int], omega=None) -> QuotientBasis:
+    """The quotient of span{e_c : c in coords} by the echelon's row space."""
     uni = _universe(q, n)
-    pivots = set(hs.echelon.pivots())
-    admissible = tuple(m for c, m in enumerate(uni) if c not in pivots)
-    pos = {}
-    k = 0
-    for c, m in enumerate(uni):
-        if c not in pivots:
-            pos[c] = k
-            k += 1
-    return QuotientBasis(q, n, admissible, hs, pos)
+    pivots = set(echelon.pivots())
+    free = [c for c in coords if c not in pivots]
+    pos = {c: k for k, c in enumerate(free)}
+    return QuotientBasis(q, n, tuple(uni[c] for c in free), echelon, omega, pos)
 
 
 _QCACHE: dict = {}
 
 
-def quotient_basis(q: int, n: int, engine: str = "auto", cache: bool = True) -> QuotientBasis:
+def quotient_basis(q: int, n: int) -> QuotientBasis:
     """Q^q_n with its admissible monomial basis (cached on disk per (q,n))."""
-    key = (q, n)
+    key = (cache_dir(), q, n)
     if key in _QCACHE:
         return _QCACHE[key]
-    qb = _load_cached(q, n) if cache else None
+    qb = _load_cached(q, n)
     if qb is None:
-        qb = _make_quotient(q, n, hit_subspace(q, n, engine))
-        if cache:
-            _save_cached(qb)
+        hs = hit_subspace(q, n)
+        qb = _make_quotient(q, n, hs.echelon, range(hs.echelon.width))
+        _save_cached(qb, hs.engine)
     _QCACHE[key] = qb
     return qb
 
 
-def _save_cached(qb: QuotientBasis) -> None:
+def _save_cached(qb: QuotientBasis, engine: str) -> None:
     width = len(_universe(qb.q, qb.n))
     nbytes = (width + 7) // 8
-    rows = [qb.hit.echelon.rows_by_pivot()[p] for p in qb.hit.echelon.pivots()]
+    rows = [qb.echelon.rows_by_pivot()[p] for p in qb.echelon.pivots()]
     blob = b"".join(r.to_bytes(nbytes, "little") for r in rows)
     meta = {
         "q": qb.q,
@@ -210,7 +225,7 @@ def _save_cached(qb: QuotientBasis) -> None:
         "width": width,
         "rank": len(rows),
         "dim": qb.dim,
-        "engine": qb.hit.engine,
+        "engine": engine,
         "omega": [[list(w), d] for w, d in weight_dimensions(qb).items()],
     }
     base = _cache_base(qb.q, qb.n)
@@ -241,16 +256,10 @@ def _load_cached(q: int, n: int):
         basis.insert(int.from_bytes(blob[k * nbytes : (k + 1) * nbytes], "little"))
     if basis.rank != meta["rank"]:
         return None
-    hs = HitSubspace(q, n, basis, meta.get("engine", "full"))
-    qb = _make_quotient(q, n, hs)
+    qb = _make_quotient(q, n, basis, range(width))
     if qb.dim != meta["dim"]:
         return None
     return qb
-
-
-def reduce_mod_hit(f: Polynomial, basis: QuotientBasis) -> int:
-    """Canonical coordinates of [f] over basis.admissible; zero iff f is hit."""
-    return basis.reduce_vec(f)
 
 
 # --- weight filtration ----------------------------------------------------------
@@ -260,51 +269,8 @@ def enumerate_weights(q: int, n: int) -> list:
     return sorted({poly.weight_of(m) for m in _universe(q, n)})
 
 
-@dataclass
-class WeightQuotient:
-    """(Q^q_n)^omega: exact-weight monomials modulo the omega-block reducer."""
-
-    q: int
-    n: int
-    omega: WeightVector
-    basis: tuple
-    _rows: dict = field(repr=False)  # pivot coordinate -> projected row
-    _coord_to_pos: dict = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def reduce_vec(self, f: Polynomial) -> int:
-        """Coordinates of [f]_omega; lower-weight terms die, higher ones error."""
-        idx = _index(self.q, self.n)
-        v = 0
-        for m in f:
-            w = poly.weight_of(m)
-            if w == self.omega:
-                v ^= 1 << idx[m]
-            elif w > self.omega:
-                raise ValueError(f"term {m} has weight above {self.omega}")
-        rest = 0
-        while v:
-            p = v.bit_length() - 1
-            row = self._rows.get(p)
-            if row is not None:
-                v ^= row
-            else:
-                v ^= 1 << p
-                rest |= 1 << p
-        out = 0
-        for c in linalg.support(rest):
-            out |= 1 << self._coord_to_pos[c]
-        return out
-
-    def poly_of_vec(self, w: int) -> Polynomial:
-        return frozenset(self.basis[k] for k in linalg.support(w))
-
-
-def weight_quotient(q: int, n: int, omega: WeightVector) -> WeightQuotient:
-    """The weight-filtered quotient, read off the shared elimination.
+def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
+    """The weight block (Q^q_n)^omega, read off the shared elimination.
 
     A forward-echelon row's support weights never exceed its pivot's weight,
     so rows whose pivot has weight exactly omega, projected to the exact-omega
@@ -316,58 +282,14 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> WeightQuotient:
     qb = quotient_basis(q, n)
     uni = _universe(q, n)
     block = [c for c, m in enumerate(uni) if poly.weight_of(m) == omega]
-    bmask = 0
-    for c in block:
-        bmask |= 1 << c
-    rows = {}
-    by_pivot = qb.hit.echelon.rows_by_pivot()
+    bmask = linalg.from_support(block)
+    by_pivot = qb.echelon.rows_by_pivot()
+    projected = linalg.EchelonBasis(len(uni))
     for c in block:
         row = by_pivot.get(c)
         if row is not None:
-            rows[c] = row & bmask
-    basis = tuple(uni[c] for c in block if c not in rows)
-    pos = {}
-    k = 0
-    for c in block:
-        if c not in rows:
-            pos[c] = k
-            k += 1
-    return WeightQuotient(q, n, omega, basis, rows, pos)
-
-
-def weight_quotient_direct(q: int, n: int, omega: WeightVector) -> int:
-    """Dimension of (Q^q_n)^omega by the literal subspace intersection route.
-
-    Span(hit generators + all lower-weight monomials) is intersected with the
-    coordinate subspace of weight <= omega, then reduced mod the lower-weight
-    coordinates; kept as an independent cross-check of weight_quotient.
-    """
-    omega = tuple(omega)
-    if poly.weight_degree(omega) != n:
-        raise ValueError(f"deg{omega} != {n}")
-    uni = _universe(q, n)
-    width = len(uni)
-    allowed = 0
-    exact = []
-    lower = []
-    for c, m in enumerate(uni):
-        w = poly.weight_of(m)
-        if w <= omega:
-            allowed |= 1 << c
-        if w == omega:
-            exact.append(c)
-        elif w < omega:
-            lower.append(c)
-    gens = [1 << c for c in lower]
-    gens.extend(_generator_stream(q, n))
-    inter = linalg.intersect_coordinate_subspace(gens, width, allowed)
-    block = linalg.EchelonBasis(width)
-    emask = 0
-    for c in exact:
-        emask |= 1 << c
-    for row in inter.rows():
-        block.insert(row & emask)
-    return len(exact) - block.rank
+            projected.insert(row & bmask)
+    return _make_quotient(q, n, projected, block, omega)
 
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
@@ -377,25 +299,12 @@ def weight_dimensions(qb: QuotientBasis) -> dict:
     for m in uni:
         w = poly.weight_of(m)
         total[w] = total.get(w, 0) + 1
-    for c in qb.hit.echelon.pivots():
+    for c in qb.echelon.pivots():
         total[poly.weight_of(uni[c])] -= 1
     return {w: d for w, d in sorted(total.items())}
 
 
-# --- Singer filter and Kameko kernel ---------------------------------------------
-
-def singer_hit_filter(m: Monomial, n: int | None = None) -> bool:
-    """True when m's weight sits strictly below the minimal spike's (certainly hit)."""
-    q = len(m)
-    if n is None:
-        n = poly.degree(m)
-    elif poly.degree(m) != n:
-        raise ValueError("degree mismatch")
-    spike = poly.minimal_spike(q, n)
-    if spike is None:
-        raise ValueError(f"not applicable: mu({n}) > {q}")
-    return poly.weight_of(m) < poly.weight_of(spike)
-
+# --- Kameko kernel ----------------------------------------------------------------
 
 def kameko_kernel(q: int, n: int) -> list:
     """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
@@ -418,17 +327,13 @@ def kameko_kernel(q: int, n: int) -> list:
 __all__ = [
     "HitSubspace",
     "QuotientBasis",
-    "WeightQuotient",
     "cache_dir",
     "vectorize",
     "unvectorize",
     "hit_subspace",
     "quotient_basis",
-    "reduce_mod_hit",
     "enumerate_weights",
     "weight_quotient",
-    "weight_quotient_direct",
     "weight_dimensions",
-    "singer_hit_filter",
     "kameko_kernel",
 ]

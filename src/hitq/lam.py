@@ -17,9 +17,10 @@ convention (i_k <= 2*i_{k+1}) are transcribed here by reversing each word;
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .linalg import solve_combination
+from .linalg import solve_combination, xor_terms
 from .poly import binom2
 
 Word = tuple  # tuple[int, ...]
@@ -30,25 +31,11 @@ ZERO: Element = frozenset()
 
 def element(words: Iterable[Word]) -> Element:
     """Element from words with GF(2) cancellation of duplicates."""
-    out: set = set()
-    for w in words:
-        w = tuple(w)
-        if w in out:
-            out.discard(w)
-        else:
-            out.add(w)
-    return frozenset(out)
+    return xor_terms(map(tuple, words))
 
 
 def add(*es: Element) -> Element:
-    out: frozenset = frozenset()
-    for e in es:
-        out = out.symmetric_difference(e)
-    return out
-
-
-def word_degree(w: Word) -> int:
-    return sum(w)
+    return xor_terms(chain.from_iterable(es))
 
 
 def is_admissible(w: Word) -> bool:
@@ -70,8 +57,11 @@ def _pair_rewrite(i: int, j: int) -> tuple:
 
 def normalize(e: Iterable[Word]) -> Element:
     """Admissible normal form, rewriting the leftmost inadmissible pair."""
-    out: set = set()
-    pending = [tuple(w) for w in e]
+    return xor_terms(_admissible_expansion([tuple(w) for w in e]))
+
+
+def _admissible_expansion(pending: list):
+    """Yield the admissible words the pending words rewrite to, with repeats."""
     while pending:
         w = pending.pop()
         for k in range(len(w) - 1):
@@ -81,11 +71,7 @@ def normalize(e: Iterable[Word]) -> Element:
                     pending.append(head + (a, b) + tail)
                 break
         else:
-            if w in out:
-                out.discard(w)
-            else:
-                out.add(w)
-    return frozenset(out)
+            yield w
 
 
 def multiply(e1: Iterable[Word], e2: Iterable[Word]) -> Element:
@@ -199,7 +185,7 @@ def classes_equal(z1: Iterable[Word], z2: Iterable[Word]):
     for z in (z1, z2):
         if z and differential(z):
             raise ValueError("classes_equal requires cycle inputs")
-    u = normalize(z1 ^ z2)
+    u = normalize(add(z1, z2))
     if not u:
         return True, ZERO
     s, n = _bidegree(u)
@@ -353,7 +339,6 @@ __all__ = [
     "ZERO",
     "element",
     "add",
-    "word_degree",
     "is_admissible",
     "normalize",
     "multiply",

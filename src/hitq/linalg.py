@@ -1,16 +1,27 @@
-"""Bit-packed linear algebra over GF(2).
+"""Bit-packed linear algebra over GF(2), and GF(2) sums of term sets.
 
 Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
 of a universe of size ``width``.  Addition is XOR.  An :class:`EchelonBasis`
 holds a streaming row-echelon basis of a subspace; pivots are chosen at the
 highest occupied bit position, so the caller controls pivot priority by
-laying out coordinates (an optional ``pivot_order`` permutation re-maps
-coordinates to bit positions).
+laying out coordinates.  Polynomials, dual elements and lambda-algebra
+elements are frozensets of terms; :func:`xor_terms` is their one GF(2) sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
+
+
+def xor_terms(terms: Iterable[Hashable]) -> frozenset:
+    """GF(2) sum of terms: those occurring an odd number of times."""
+    out: set = set()
+    for t in terms:
+        if t in out:
+            out.discard(t)
+        else:
+            out.add(t)
+    return frozenset(out)
 
 
 def from_support(coords: Iterable[int]) -> int:
@@ -34,58 +45,20 @@ class EchelonBasis:
 
     Rows are kept in forward echelon form only (each row's pivot is its
     highest set bit and pivots are distinct); reduced row-echelon form is
-    produced on demand by :meth:`rref`.  ``pivot_order``, when given, is a
-    permutation of ``range(width)`` mapping bit position -> coordinate; the
-    coordinate stored at the highest position is eliminated first.
+    produced on demand by :meth:`rref`.
     """
 
-    def __init__(self, width: int, pivot_order: list[int] | None = None):
+    def __init__(self, width: int):
         self.width = width
-        self._rows: dict[int, int] = {}  # pivot bit position -> row (internal layout)
-        if pivot_order is None:
-            self._pos = None  # identity layout
-        else:
-            assert len(pivot_order) == width
-            self._pos = [0] * width  # coordinate -> bit position
-            for position, coord in enumerate(pivot_order):
-                self._pos[coord] = position
-            self._order = list(pivot_order)
-
-    # -- layout ---------------------------------------------------------
-
-    def _to_internal(self, v: int) -> int:
-        if self._pos is None:
-            return v
-        pos = self._pos
-        out = 0
-        while v:
-            low = v & -v
-            out |= 1 << pos[low.bit_length() - 1]
-            v ^= low
-        return out
-
-    def _from_internal(self, v: int) -> int:
-        if self._pos is None:
-            return v
-        order = self._order
-        out = 0
-        while v:
-            low = v & -v
-            out |= 1 << order[low.bit_length() - 1]
-            v ^= low
-        return out
-
-    # -- core operations --------------------------------------------------
+        self._rows: dict[int, int] = {}  # pivot coordinate -> row
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def pivots(self) -> list[int]:
-        """Pivot coordinates (external layout), ascending."""
-        if self._pos is None:
-            return sorted(self._rows)
-        return sorted(self._order[p] for p in self._rows)
+        """Pivot coordinates, ascending."""
+        return sorted(self._rows)
 
     def insert(self, v: int) -> tuple[bool, int]:
         """Insert a vector; returns (inserted, remainder).
@@ -97,14 +70,13 @@ class EchelonBasis:
         if v >> self.width:
             raise ValueError("vector exceeds universe width")
         rows = self._rows
-        r = self._to_internal(v)
-        while r:
-            p = r.bit_length() - 1
+        while v:
+            p = v.bit_length() - 1
             row = rows.get(p)
             if row is None:
-                rows[p] = r
-                return True, self._from_internal(r)
-            r ^= row
+                rows[p] = v
+                return True, v
+            v ^= row
         return False, 0
 
     def reduce(self, v: int) -> int:
@@ -117,37 +89,32 @@ class EchelonBasis:
         if v >> self.width:
             raise ValueError("vector exceeds universe width")
         rows = self._rows
-        r = self._to_internal(v)
         done = 0
-        while r:
-            p = r.bit_length() - 1
+        while v:
+            p = v.bit_length() - 1
             row = rows.get(p)
             if row is None:
                 bit = 1 << p
                 done |= bit
-                r ^= bit
+                v ^= bit
             else:
-                r ^= row
-        return self._from_internal(done)
+                v ^= row
+        return done
 
     def member(self, v: int) -> bool:
         """True iff v lies in the row space."""
         return self.reduce(v) == 0
 
     def rows(self) -> list[int]:
-        """Current rows in external layout (forward echelon form)."""
-        return [self._from_internal(r) for r in self._rows.values()]
+        """Current rows (forward echelon form)."""
+        return list(self._rows.values())
 
     def rows_by_pivot(self) -> dict[int, int]:
-        """Forward-echelon rows keyed by pivot coordinate (external layout)."""
-        if self._pos is None:
-            return dict(self._rows)
-        return {
-            self._order[p]: self._from_internal(r) for p, r in self._rows.items()
-        }
+        """Forward-echelon rows keyed by pivot coordinate."""
+        return dict(self._rows)
 
     def rref(self) -> dict[int, int]:
-        """Reduced rows keyed by pivot coordinate (external layout).
+        """Reduced rows keyed by pivot coordinate.
 
         Each returned row is zero at every other pivot.  Processing pivots in
         ascending position keeps already-cleaned rows clean, so one pass
@@ -168,9 +135,7 @@ class EchelonBasis:
                 else:
                     body ^= row  # clears b, adds only free bits below b
             clean[p] = (1 << p) | fixed
-        if self._pos is None:
-            return clean
-        return {self._order[p]: self._from_internal(r) for p, r in clean.items()}
+        return clean
 
 
 def rank(rows: Iterable[int], width: int) -> int:
@@ -233,37 +198,12 @@ def solve_combination(targets: Iterable[int], rhs: int) -> int | None:
     return c
 
 
-def intersect_coordinate_subspace(
-    gens: Iterable[int], width: int, allowed: int
-) -> EchelonBasis:
-    """Echelon basis of span(gens) ∩ span{e_c : bit c set in allowed}.
-
-    Elimination gives pivot priority to the DISALLOWED coordinates (they are
-    laid out at the high bit positions), so any echelon row whose pivot is an
-    allowed coordinate carries no disallowed coordinate at all; those rows
-    span exactly the intersection.
-    """
-    allowed_coords = [c for c in range(width) if (allowed >> c) & 1]
-    blocked_coords = [c for c in range(width) if not (allowed >> c) & 1]
-    order = allowed_coords + blocked_coords  # disallowed at high positions
-    eb = EchelonBasis(width, pivot_order=order)
-    for g in gens:
-        eb.insert(g)
-    cut = len(allowed_coords)
-    result = EchelonBasis(width)
-    for p, row in eb._rows.items():
-        if p < cut:
-            assert row >> cut == 0
-            result.insert(eb._from_internal(row))
-    return result
-
-
 __all__ = [
     "EchelonBasis",
+    "xor_terms",
     "from_support",
     "support",
     "rank",
     "kernel_basis",
     "solve_combination",
-    "intersect_coordinate_subspace",
 ]

@@ -9,7 +9,10 @@ ints suffice everywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
+
+from .linalg import rank, xor_terms
 
 Monomial = tuple  # tuple[int, ...]
 Polynomial = frozenset  # frozenset[Monomial]
@@ -18,13 +21,15 @@ WeightVector = tuple  # tuple[int, ...]
 
 def alpha(n: int) -> int:
     """Number of ones in the binary expansion of n."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"alpha({n}): n must be non-negative")
     return n.bit_count()
 
 
 def mu(n: int) -> int:
     """Smallest m with alpha(n + m) <= m."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"mu({n}): n must be non-negative")
     m = 0
     while alpha(n + m) > m:
         m += 1
@@ -44,21 +49,11 @@ def degree(m: Monomial) -> int:
 
 def poly(terms: Iterable[Monomial]) -> Polynomial:
     """Polynomial from terms with GF(2) cancellation of duplicates."""
-    out: set = set()
-    for t in terms:
-        t = tuple(t)
-        if t in out:
-            out.discard(t)
-        else:
-            out.add(t)
-    return frozenset(out)
+    return xor_terms(map(tuple, terms))
 
 
 def add(*fs: Polynomial) -> Polynomial:
-    out: frozenset = frozenset()
-    for f in fs:
-        out = out.symmetric_difference(f)
-    return out
+    return xor_terms(chain.from_iterable(fs))
 
 
 def sq_monomial(t: int, m: Monomial) -> list:
@@ -95,17 +90,11 @@ def sq_monomial(t: int, m: Monomial) -> list:
 
 def sq(t: int, f: Polynomial) -> Polynomial:
     """Steenrod square Sq^t on a polynomial (Cartan formula, mod 2)."""
-    assert t >= 0
+    if t < 0:
+        raise ValueError(f"Sq^{t}: t must be non-negative")
     if t == 0:
         return frozenset(f)
-    out: set = set()
-    for m in f:
-        for r in sq_monomial(t, m):
-            if r in out:
-                out.discard(r)
-            else:
-                out.add(r)
-    return frozenset(out)
+    return xor_terms(r for m in f for r in sq_monomial(t, m))
 
 
 def weight_of(m: Monomial) -> WeightVector:
@@ -140,18 +129,11 @@ def order_key(m: Monomial):
     return (weight_of(m), m)
 
 
-def compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or 1 for m1 <, =, > m2 in the monomial order."""
-    if len(m1) != len(m2) or degree(m1) != degree(m2):
-        raise ValueError("monomials must share variable count and degree")
-    k1, k2 = order_key(m1), order_key(m2)
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
-
 @lru_cache(maxsize=None)
 def monomials(q: int, n: int) -> tuple:
     """All degree-n monomials in q variables, ascending in the monomial order."""
-    assert q >= 1 and n >= 0
+    if q < 1 or n < 0:
+        raise ValueError(f"monomials({q}, {n}): need q >= 1 and n >= 0")
 
     def gen(vars_left: int, rest: int):
         if vars_left == 1:
@@ -228,31 +210,16 @@ def _expand_power(targets: tuple, a: int) -> tuple:
     return tuple(out)
 
 
-def _matrix_rank2(g) -> int:
-    rows = [int("".join(str(int(x)) for x in reversed(row)), 2) for row in g]
-    seen: dict[int, int] = {}
-    rk = 0
-    for r in rows:
-        while r:
-            p = r.bit_length() - 1
-            if p in seen:
-                r ^= seen[p]
-            else:
-                seen[p] = r
-                rk += 1
-                break
-    return rk
-
-
 def linear_substitute(g, f: Polynomial) -> Polynomial:
     """Apply the algebra map x_i -> sum_j g[i][j] x_j to f (g invertible)."""
     g = [tuple(int(x) & 1 for x in row) for row in g]
     q = len(g)
-    if _matrix_rank2(g) != q:
+    if rank((sum(x << j for j, x in enumerate(row)) for row in g), q) != q:
         raise ValueError("substitution matrix is singular")
-    out: set = set()
+    out: list = []
     for mon in f:
-        assert len(mon) == q
+        if len(mon) != q:
+            raise ValueError(f"monomial {mon} does not have {q} exponents")
         terms = [(0,) * q]
         for i, a in enumerate(mon):
             if a == 0:
@@ -267,12 +234,8 @@ def linear_substitute(g, f: Polynomial) -> Polynomial:
                         t[j] += e
                     new_terms.append(tuple(t))
             terms = new_terms
-        for t in terms:
-            if t in out:
-                out.discard(t)
-            else:
-                out.add(t)
-    return frozenset(out)
+        out.extend(terms)
+    return xor_terms(out)
 
 
 def kameko_up(m: Monomial) -> Monomial:
@@ -302,7 +265,6 @@ __all__ = [
     "weight_of",
     "weight_degree",
     "order_key",
-    "compare",
     "monomials",
     "is_spike",
     "minimal_spike",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import action, dual, lam
+from . import action, dual, lam, linalg
 
 
 @lru_cache(maxsize=None)
@@ -21,27 +21,21 @@ def _psi_orders(orders: tuple) -> frozenset:
     if len(orders) == 1:
         return frozenset({(orders[0],)})
     j1, rest = orders[0], orders[1:]
-    out: set = set()
-    for k in range(j1, j1 + sum(rest) + 1):
-        for r in dual.dual_sq(k - j1, [rest]):
-            for w in _psi_orders(r):
-                w = w + (k,)
-                if w in out:
-                    out.discard(w)
-                else:
-                    out.add(w)
-    return frozenset(out)
+    return linalg.xor_terms(
+        w + (k,)
+        for k in range(j1, j1 + sum(rest) + 1)
+        for r in dual.dual_sq(k - j1, [rest])
+        for w in _psi_orders(r)
+    )
 
 
 def psi(q: int, e) -> lam.Element:
     """The chain-level transfer of a dual element; output is NOT normalized."""
-    out: frozenset = frozenset()
-    for m in e:
-        m = tuple(m)
+    terms = [tuple(m) for m in e]
+    for m in terms:
         if len(m) != q:
             raise ValueError(f"term {m} does not have {q} orders")
-        out = out.symmetric_difference(_psi_orders(m))
-    return out
+    return lam.add(*map(_psi_orders, terms))
 
 
 def transfer_class(e, q: int | None = None):

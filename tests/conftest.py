@@ -16,10 +16,3 @@ def fresh_cache(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("hitq-cache"))
     os.environ["HITQ_CACHE"] = path
     return path
-
-
-@pytest.fixture(autouse=True)
-def _pin_cache_env(fresh_cache):
-    """Restore HITQ_CACHE after tests that let the CLI override it."""
-    yield
-    os.environ["HITQ_CACHE"] = fresh_cache

@@ -2,12 +2,14 @@
 
 Everything here is written from first principles with stdlib tools only:
 naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
-elimination over lexicographically ordered monomials, and a batch
-all-generators hit-space construction.  Nothing imports hitq.
+elimination over lexicographically ordered monomials, a batch
+all-generators hit-space construction, and the literal subspace-intersection
+route to the weight blocks.  Nothing imports hitq.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -59,34 +61,22 @@ def _eliminate(vectors: list) -> dict:
     return pivots
 
 
+@functools.lru_cache(maxsize=None)
+def hit_generators(q: int, n: int) -> tuple:
+    """Every nonzero Sq^t(g) with t >= 1 and g a degree-(n - t) monomial."""
+    spans = []
+    for t in range(1, n + 1):
+        for g in all_monomials(q, n - t):
+            image = naive_sq(t, {g})
+            if image:
+                spans.append(frozenset(image))
+    return tuple(spans)
+
+
 def hit_dimension(q: int, n: int) -> int:
     """dim Q^q_n by eliminating Sq^t(g) for every t >= 1 and monomial g."""
     universe = all_monomials(q, n)
-    spans = []
-    for t in range(1, n + 1):
-        for g in all_monomials(q, n - t):
-            image = naive_sq(t, {g})
-            if image:
-                spans.append(image)
-    return len(universe) - len(_eliminate(spans))
-
-
-def hit_membership(f: set, q: int, n: int) -> bool:
-    """Whether a degree-n polynomial is a sum of Sq^t images, by elimination."""
-    spans = []
-    for t in range(1, n + 1):
-        for g in all_monomials(q, n - t):
-            image = naive_sq(t, {g})
-            if image:
-                spans.append(image)
-    pivots = _eliminate(spans)
-    v = set(f)
-    while v:
-        lead = max(v)
-        if lead not in pivots:
-            return False
-        v ^= pivots[lead]
-    return True
+    return len(universe) - len(_eliminate(hit_generators(q, n)))
 
 
 def one_variable_dimension(n: int) -> int:
@@ -105,12 +95,60 @@ def rank2(rows: list) -> int:
     return len(basis)
 
 
+def intersect_coordinate_subspace(gens, width: int, allowed: int) -> list:
+    """Spanning rows of span(gens) ∩ span{e_c : bit c set in allowed}.
+
+    Elimination takes as a row's leading coordinate its highest DISALLOWED
+    coordinate when it has one, so any row led by an allowed coordinate
+    carries no disallowed coordinate at all; those rows span exactly the
+    intersection.
+    """
+    blocked = ((1 << width) - 1) & ~allowed
+    pivots: dict = {}
+    for v in gens:
+        while v:
+            lead = (v & blocked or v).bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = v
+                break
+            v ^= pivots[lead]
+    return [row for row in pivots.values() if not row & blocked]
+
+
+def weight_vector(m: Mono) -> tuple:
+    """Entry j counts the exponents of m with binary digit j set."""
+    top = max(m, default=0).bit_length()
+    return tuple(sum((a >> j) & 1 for a in m) for j in range(top))
+
+
+def weight_block_dimension(q: int, n: int, omega: tuple) -> int:
+    """dim (Q^q_n)^omega by the literal subspace-intersection route.
+
+    Span(hit generators + all lower-weight monomials) is intersected with the
+    coordinate subspace of weight <= omega and projected to the exact-omega
+    coordinates; the block is the exact-omega span modulo that projection.
+    Weight vectors of one degree compare left-lexicographically as tuples.
+    """
+    universe = all_monomials(q, n)
+    index = {m: k for k, m in enumerate(universe)}
+    weights = [weight_vector(m) for m in universe]
+    allowed = sum(1 << k for k, w in enumerate(weights) if w <= omega)
+    exact = sum(1 << k for k, w in enumerate(weights) if w == omega)
+    gens = [1 << k for k, w in enumerate(weights) if w < omega]
+    gens += [sum(1 << index[m] for m in g) for g in hit_generators(q, n)]
+    inter = intersect_coordinate_subspace(gens, len(universe), allowed)
+    return bin(exact).count("1") - rank2([row & exact for row in inter])
+
+
 __all__ = [
     "all_monomials",
     "comb2",
     "hit_dimension",
-    "hit_membership",
+    "hit_generators",
+    "intersect_coordinate_subspace",
     "naive_sq",
     "one_variable_dimension",
     "rank2",
+    "weight_block_dimension",
+    "weight_vector",
 ]

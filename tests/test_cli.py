@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import os
+import pkgutil
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import hitq
 from hitq import cli
 
 
@@ -110,7 +115,7 @@ def test_cache_flag_writes_to_directory(tmp_path):
     from hitq import hit
 
     target = tmp_path / "cachedir"
-    hit._QCACHE.pop((3, 6), None)  # force a real compute-and-save
+    hit.quotient_basis(3, 6)  # held in memory for the default directory only
     r = _run("basis", "--q", "3", "--n", "6", "--cache", str(target))
     assert r.exit_code == 0
     assert list(target.glob("hit-q3-n6*"))
@@ -142,8 +147,33 @@ def test_verify_failure_exit_code():
 
 
 def test_cli_does_not_leak_cache_override(tmp_path):
-    before = os.environ.get("HITQ_CACHE")
-    _run("basis", "--q", "3", "--n", "5", "--cache", str(tmp_path / "x"))
-    # the override is process-wide by design; the test fixture restores it
-    assert os.environ["HITQ_CACHE"] == str(tmp_path / "x")
-    assert before is not None
+    before = os.environ["HITQ_CACHE"]
+    cli.SUITES["empty"] = lambda: iter([])
+    try:
+        for args in (("basis", "--q", "3", "--n", "5"), ("verify", "empty")):
+            assert _run(*args, "--cache", str(tmp_path)).exit_code == 0
+            assert os.environ["HITQ_CACHE"] == before
+        del os.environ["HITQ_CACHE"]  # an unset variable stays unset
+        _run("basis", "--q", "3", "--n", "5", "--cache", str(tmp_path))
+        assert "HITQ_CACHE" not in os.environ
+    finally:
+        del cli.SUITES["empty"]
+        os.environ["HITQ_CACHE"] = before
+
+
+def test_traced_spans_and_exports_resolve():
+    # bench/traced.py wraps these names by getattr; a deletion must fail here
+    path = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module_name, attrs in traced.SPANS.items():
+        for attr in attrs:
+            owner = importlib.import_module(f"hitq.{module_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module_name, attr)
+    for info in pkgutil.iter_modules(hitq.__path__):
+        module = importlib.import_module(f"hitq.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), (info.name, name)

@@ -114,6 +114,20 @@ def test_coinvariant_generators_certificates():
     assert dual.coinvariant_generators(4, 21, action.gl_generators(4)) == []
 
 
+def test_coinvariant_generators_for_several_invariants():
+    # four sigma invariants at n = 9: the solve runs over a 4-column system
+    got = dual.coinvariant_generators(4, 9, action.sigma_generators(4))
+    assert [cert for _, cert in got] == [
+        tuple(int(a == b) for b in range(4)) for a in range(4)]
+    for e, _ in got:
+        assert dual.is_primitive(e) and dual.dual_degree(e) == 9
+
+
+def test_dual_sq_rejects_negative_squares():
+    with pytest.raises(ValueError):
+        dual.dual_sq(-1, [(1, 2, 3)])
+
+
 def test_distinguished_degree_9_primitive_pairs_with_the_invariant():
     qb = hit.quotient_basis(4, 9)
     inv = action.invariant_subspace(qb, action.gl_generators(4))

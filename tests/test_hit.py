@@ -25,7 +25,11 @@ def test_frozen_oracle_table_is_live():
 
 
 def test_engines_agree_on_pivots():
-    for q, n in ((3, 7), (3, 8), (4, 9), (4, 25)):
+    # equal pivots mean the seeded singletons (monomials below the minimal
+    # spike's weight) all lie in the hit span of the full engine
+    cases = ((2, 6), (2, 7), (2, 8), (2, 14), (2, 15),
+             (3, 7), (3, 8), (4, 9), (4, 25))
+    for q, n in cases:
         full = hit.hit_subspace(q, n, engine="full")
         seeded = hit.hit_subspace(q, n, engine="seeded")
         assert full.echelon.pivots() == seeded.echelon.pivots(), (q, n)
@@ -44,6 +48,15 @@ def test_unknown_engine_rejected():
         hit.hit_subspace(3, 7, engine="banana")
 
 
+def test_hit_subspace_rejects_bad_input():
+    with pytest.raises(ValueError):
+        hit.hit_subspace(3, -1)
+    with pytest.raises(ValueError):
+        hit.hit_subspace(2, 5, engine="seeded")  # mu(5) = 3 > 2: no spike
+    with pytest.raises(ValueError):
+        hit.hit_subspace(4, 9, engine="wood")  # mu(9) = 3 <= 4
+
+
 def test_vectorize_round_trip():
     rng = random.Random(7)
     uni = poly.monomials(3, 8)
@@ -56,7 +69,7 @@ def test_hit_images_reduce_to_zero():
     qb = hit.quotient_basis(3, 9)
     for t in range(1, 10):
         for m in poly.monomials(3, 9 - t):
-            assert hit.reduce_mod_hit(poly.sq(t, poly.poly([m])), qb) == 0
+            assert qb.reduce_vec(poly.sq(t, poly.poly([m]))) == 0
 
 
 def test_admissible_monomials_reduce_to_unit_vectors():
@@ -66,18 +79,6 @@ def test_admissible_monomials_reduce_to_unit_vectors():
     # and poly_of_vec inverts that
     for k in range(qb.dim):
         assert qb.poly_of_vec(1 << k) == frozenset({qb.admissible[k]})
-
-
-def test_singer_filter_only_flags_hit_monomials():
-    for n in (6, 7, 8, 14, 15):
-        for m in poly.monomials(2, n):
-            if hit.singer_hit_filter(m):
-                assert oracles.hit_membership({m}, 2, n)
-
-
-def test_singer_filter_needs_a_spike():
-    with pytest.raises(ValueError):
-        hit.singer_hit_filter((2, 3), 5)  # mu(5) = 3 > 2
 
 
 def test_enumerate_weights_is_exact():
@@ -91,7 +92,7 @@ def test_weight_quotient_routes_agree():
     for q, n in ((3, 6), (3, 7), (3, 8), (3, 9), (4, 9)):
         for om in hit.enumerate_weights(q, n):
             fast = hit.weight_quotient(q, n, om).dim
-            direct = hit.weight_quotient_direct(q, n, om)
+            direct = oracles.weight_block_dimension(q, n, om)
             assert fast == direct, (q, n, om)
 
 
@@ -104,6 +105,19 @@ def test_weight_dimensions_read_off_pivots():
             assert hit.weight_quotient(q, n, om).dim == d
 
 
+def test_weight_block_reduces_inside_its_filtration():
+    omega = (3, 1, 1)
+    block = hit.weight_quotient(4, 9, omega)
+    assert block.omega == omega
+    assert block.dim == hit.weight_dimensions(hit.quotient_basis(4, 9))[omega]
+    for k, m in enumerate(block.admissible):
+        assert poly.weight_of(m) == omega
+        assert block.reduce_vec(frozenset({m})) == 1 << k
+    assert block.reduce_vec(frozenset({(1, 2, 2, 4)})) == 0  # weight (1,2,1)
+    with pytest.raises(ValueError):
+        block.reduce_vec(frozenset({(3, 3, 3, 0)}))  # weight (3,3)
+
+
 def test_weight_quotient_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         hit.weight_quotient(4, 9, (1, 1))
@@ -113,10 +127,11 @@ def test_cache_round_trip():
     qb = hit.quotient_basis(3, 7)
     files = list(hit.cache_dir().glob("hit-q3-n7*"))
     assert files, "expected cache files on disk"
-    hit._QCACHE.pop((3, 7))
+    hit._QCACHE.pop((hit.cache_dir(), 3, 7))
     loaded = hit.quotient_basis(3, 7)
+    assert loaded is not qb
     assert loaded.admissible == qb.admissible
-    assert loaded.hit.echelon.pivots() == qb.hit.echelon.pivots()
+    assert loaded.echelon.pivots() == qb.echelon.pivots()
     f = poly.poly([(1, 2, 4), (0, 3, 4)])
     assert loaded.reduce_vec(f) == qb.reduce_vec(f)
 

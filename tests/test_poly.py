@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,3 +147,18 @@ def test_substitution_rejects_singular_matrix():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_bad_arguments_raise_value_error():
+    eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    bad_calls = [
+        lambda: poly.linear_substitute(eye, poly.poly([(1, 2)])),  # arity 2
+        lambda: poly.alpha(-1),
+        lambda: poly.mu(-1),
+        lambda: poly.monomials(3, -1),
+        lambda: poly.monomials(0, 2),
+        lambda: poly.sq(-1, poly.poly([(1, 2, 3)])),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
