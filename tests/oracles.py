@@ -79,6 +79,18 @@ def hit_dimension(q: int, n: int) -> int:
     return len(universe) - len(_eliminate(hit_generators(q, n)))
 
 
+def hit_membership(f: set, q: int, n: int) -> bool:
+    """Whether a degree-n polynomial is a sum of Sq^t images, by elimination."""
+    pivots = _eliminate(hit_generators(q, n))
+    v = set(f)
+    while v:
+        lead = max(v)
+        if lead not in pivots:
+            return False
+        v ^= pivots[lead]
+    return True
+
+
 def one_variable_dimension(n: int) -> int:
     """dim Q^1_n in closed form: 1 exactly when n + 1 is a power of two."""
     return 1 if (n + 1) & n == 0 else 0
@@ -145,6 +157,7 @@ __all__ = [
     "comb2",
     "hit_dimension",
     "hit_generators",
+    "hit_membership",
     "intersect_coordinate_subspace",
     "naive_sq",
     "one_variable_dimension",

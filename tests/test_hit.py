@@ -81,6 +81,15 @@ def test_admissible_monomials_reduce_to_unit_vectors():
         assert qb.poly_of_vec(1 << k) == frozenset({qb.admissible[k]})
 
 
+def test_singer_filter_only_flags_hit_monomials():
+    # the seeded engine's rule: below the minimal spike's weight, all is hit
+    for n in (6, 7, 8, 14, 15):
+        spike_w = poly.weight_of(poly.minimal_spike(2, n))
+        for m in poly.monomials(2, n):
+            if poly.weight_of(m) < spike_w:
+                assert oracles.hit_membership({m}, 2, n), (n, m)
+
+
 def test_enumerate_weights_is_exact():
     for q, n in ((3, 7), (4, 9)):
         ws = hit.enumerate_weights(q, n)
