@@ -11,6 +11,14 @@ Sq^{2^i} generator stream is projected onto the surviving coordinates.
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega; a block's relations are the shared elimination's rows
 projected to the exact-omega coordinates.
+
+Each Q^q_n is cached on disk as one atomically written file,
+``hit-q{q}-n{n}-v2.rows``: a JSON header line (shape, rank, dim, engine,
+weight dimensions and the CRC-32 of the payload), then one line per echelon
+row, its set coordinates ascending, rows in ascending pivot order.  A file
+that fails any check on load is a cache miss: the basis is rebuilt and the
+file rewritten.  The CRC guards against truncation and bit flips, not
+tampering.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +35,7 @@ from typing import Iterable
 from . import linalg, poly
 from .poly import Polynomial, WeightVector
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 # --- cache ------------------------------------------------------------------
@@ -38,8 +47,8 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "hitq"
 
 
-def _cache_base(q: int, n: int) -> Path:
-    return cache_dir() / f"hit-q{q}-n{n}-v{CACHE_VERSION}"
+def _cache_path(q: int, n: int) -> Path:
+    return cache_dir() / f"hit-q{q}-n{n}-v{CACHE_VERSION}.rows"
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -214,52 +223,50 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
 
 
 def _save_cached(qb: QuotientBasis, engine: str) -> None:
-    width = len(_universe(qb.q, qb.n))
-    nbytes = (width + 7) // 8
-    rows = [qb.echelon.rows_by_pivot()[p] for p in qb.echelon.pivots()]
-    blob = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    by_pivot = qb.echelon.rows_by_pivot()
+    payload = "".join(
+        " ".join(map(str, linalg.support(by_pivot[p]))) + "\n"
+        for p in sorted(by_pivot)
+    ).encode()
     meta = {
         "q": qb.q,
         "n": qb.n,
         "version": CACHE_VERSION,
-        "width": width,
-        "rank": len(rows),
+        "width": qb.echelon.width,
+        "rank": len(by_pivot),
         "dim": qb.dim,
         "engine": engine,
         "omega": [[list(w), d] for w, d in weight_dimensions(qb).items()],
+        "crc32": zlib.crc32(payload),
     }
-    base = _cache_base(qb.q, qb.n)
-    _atomic_write(base.with_suffix(".bin"), blob)
-    _atomic_write(
-        base.with_suffix(".json"), json.dumps(meta, sort_keys=True).encode()
-    )
+    header = json.dumps(meta, sort_keys=True).encode()
+    _atomic_write(_cache_path(qb.q, qb.n), header + b"\n" + payload)
 
 
 def _load_cached(q: int, n: int):
-    base = _cache_base(q, n)
-    jp, bp = base.with_suffix(".json"), base.with_suffix(".bin")
-    if not (jp.exists() and bp.exists()):
-        return None
-    try:
-        meta = json.loads(jp.read_text())
-    except ValueError:
-        return None
+    """The cached Q^q_n, or None when the file is missing or fails a check."""
     width = len(_universe(q, n))
-    if meta.get("version") != CACHE_VERSION or meta.get("width") != width:
+    try:
+        head, _, payload = _cache_path(q, n).read_bytes().partition(b"\n")
+        meta = json.loads(head)
+        checked = [meta[k] for k in ("version", "q", "n", "width", "crc32")]
+        if checked != [CACHE_VERSION, q, n, width, zlib.crc32(payload)]:
+            return None
+        lines = payload.splitlines()
+        if len(lines) != meta["rank"]:
+            return None
+        basis = linalg.EchelonBasis(width)
+        for line in lines:
+            coords = [int(t) for t in line.split()]
+            v = linalg.from_support(coords)  # ValueError on a negative one
+            # insert raises on a coordinate >= width, refuses an empty row and
+            # reduces a row whose pivot repeats an earlier one
+            if v.bit_count() != len(coords) or basis.insert(v) != (True, v):
+                return None
+        qb = _make_quotient(q, n, basis, range(width))
+        return qb if qb.dim == meta["dim"] else None
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    nbytes = (width + 7) // 8
-    blob = bp.read_bytes()
-    if len(blob) != meta["rank"] * nbytes:
-        return None
-    basis = linalg.EchelonBasis(width)
-    for k in range(meta["rank"]):
-        basis.insert(int.from_bytes(blob[k * nbytes : (k + 1) * nbytes], "little"))
-    if basis.rank != meta["rank"]:
-        return None
-    qb = _make_quotient(q, n, basis, range(width))
-    if qb.dim != meta["dim"]:
-        return None
-    return qb
 
 
 # --- weight filtration ----------------------------------------------------------

@@ -118,7 +118,8 @@ def theta(e: Iterable[Word]) -> Element:
 @lru_cache(maxsize=None)
 def admissible_basis(s: int, n: int) -> tuple:
     """All admissible words of length s and degree n, lexicographically sorted."""
-    assert s >= 0 and n >= 0
+    if s < 0 or n < 0:
+        raise ValueError(f"length {s} and degree {n} must be non-negative")
     if s == 0:
         return ((),) if n == 0 else ()
     out = []

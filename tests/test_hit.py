@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import zlib
 
 import pytest
 
@@ -28,7 +30,8 @@ def test_engines_agree_on_pivots():
     # equal pivots mean the seeded singletons (monomials below the minimal
     # spike's weight) all lie in the hit span of the full engine
     cases = ((2, 6), (2, 7), (2, 8), (2, 14), (2, 15),
-             (3, 7), (3, 8), (4, 9), (4, 25))
+             (3, 7), (3, 8), (4, 9), (4, 25),
+             (3, 38), (3, 39), (3, 41), (4, 33), (4, 37), (4, 41))
     for q, n in cases:
         full = hit.hit_subspace(q, n, engine="full")
         seeded = hit.hit_subspace(q, n, engine="seeded")
@@ -135,7 +138,7 @@ def test_weight_quotient_rejects_degree_mismatch():
 def test_cache_round_trip():
     qb = hit.quotient_basis(3, 7)
     files = list(hit.cache_dir().glob("hit-q3-n7*"))
-    assert files, "expected cache files on disk"
+    assert len(files) == 1 and "v2" in files[0].name, files
     hit._QCACHE.pop((hit.cache_dir(), 3, 7))
     loaded = hit.quotient_basis(3, 7)
     assert loaded is not qb
@@ -143,6 +146,142 @@ def test_cache_round_trip():
     assert loaded.echelon.pivots() == qb.echelon.pivots()
     f = poly.poly([(1, 2, 4), (0, 3, 4)])
     assert loaded.reduce_vec(f) == qb.reduce_vec(f)
+
+
+def _split(data: bytes) -> tuple:
+    """A v2 cache file as (header dict, rows as coordinate lists)."""
+    head, _, payload = data.partition(b"\n")
+    rows = [[int(t) for t in line.split()] for line in payload.splitlines()]
+    return json.loads(head), rows
+
+
+def _join(meta: dict, rows: list) -> bytes:
+    """A v2 cache file with the given header and rows, CRC recomputed."""
+    payload = b"".join(" ".join(map(str, r)).encode() + b"\n" for r in rows)
+    meta = dict(meta, crc32=zlib.crc32(payload))
+    return json.dumps(meta, sort_keys=True).encode() + b"\n" + payload
+
+
+def _flip(data: bytes, k: int) -> bytes:
+    return data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]
+
+
+def _edit_rows(edit):
+    def damage(path, data):
+        meta, rows = _split(data)
+        path.write_bytes(_join(meta, edit(meta, rows)))
+    return damage
+
+
+def _edit_header(edit):
+    def damage(path, data):
+        meta, rows = _split(data)
+        edit(meta)
+        path.write_bytes(_join(meta, rows))
+    return damage
+
+
+def _truncate(where):
+    def damage(path, data):
+        path.write_bytes(data[:where(data)])
+    return damage
+
+
+def _flip_width_digit(path, data):
+    # a one-bit flip in a header value, still valid JSON: width 220 -> 221
+    k = data.index(b'"width": ') + len(b'"width": ')
+    while data[k + 1:k + 2].isdigit():
+        k += 1
+    path.write_bytes(_flip(data, k))
+
+
+def _repeated_pivot(meta, rows):
+    # swap row 0 for row 0 + row 1: the span, rank, dim and pivot set are
+    # unchanged, so only the check that each row is stored as read can see it
+    pivots = [r[-1] for r in rows]
+    rows[0] = sorted(set(rows[0]) ^ set(rows[1]))
+    eb = linalg.EchelonBasis(meta["width"])
+    for r in rows:
+        eb.insert(linalg.from_support(r))
+    assert rows[0][-1] == rows[1][-1] and eb.pivots() == pivots
+    return sorted(rows, key=lambda r: r[-1])
+
+
+def _stale_v1_pair(path, data):
+    # the v1 layout (a dense .bin beside a .json), valid by its own rules
+    meta, rows = _split(data)
+    nbytes = (meta["width"] + 7) // 8
+    base = path.with_name(f"hit-q{meta['q']}-n{meta['n']}-v1")
+    base.with_suffix(".bin").write_bytes(b"".join(
+        linalg.from_support(r).to_bytes(nbytes, "little") for r in rows))
+    del meta["crc32"]
+    base.with_suffix(".json").write_text(
+        json.dumps(dict(meta, version=1), sort_keys=True))
+    path.unlink()
+
+
+def _header_end(data):
+    return data.index(b"\n")
+
+
+DAMAGE = {
+    "truncate-empty": _truncate(lambda d: 0),
+    "truncate-in-header": _truncate(lambda d: _header_end(d) // 2),
+    "truncate-before-newline": _truncate(_header_end),
+    "truncate-after-newline": _truncate(lambda d: _header_end(d) + 1),
+    "truncate-mid-payload": _truncate(lambda d: (_header_end(d) + len(d)) // 2),
+    "truncate-last-byte": _truncate(lambda d: len(d) - 1),
+    "flip-payload-byte": lambda p, d: p.write_bytes(
+        _flip(d, (_header_end(d) + len(d)) // 2)),
+    "flip-header-byte": _flip_width_digit,
+    "wrong-version": _edit_header(lambda m: m.update(version=1)),
+    "no-rank-key": _edit_header(lambda m: m.pop("rank")),
+    "wrong-dim": _edit_header(lambda m: m.update(dim=m["dim"] + 1)),
+    "header-not-an-object": lambda p, d: p.write_bytes(
+        b"[]\n" + d.partition(b"\n")[2]),
+    "coordinate-past-width": _edit_rows(
+        lambda m, rows: rows[:-1] + [rows[-1][:-1] + [m["width"]]]),
+    "row-missing": _edit_rows(lambda m, rows: rows[:-1]),
+    "row-empty": _edit_rows(lambda m, rows: [[]] + rows[1:]),
+    "coordinate-repeated": _edit_rows(
+        lambda m, rows: rows[:-1] + [[rows[-1][0]] + rows[-1]]),
+    "repeated-pivot": _edit_rows(_repeated_pivot),
+    "stale-v1-pair": _stale_v1_pair,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    q, n = 4, 9
+    fresh = hit.hit_subspace(q, n).echelon.pivots()
+    hit.quotient_basis(q, n)
+    (path,) = tmp_path.iterdir()
+    assert hit._load_cached(q, n).echelon.pivots() == fresh
+    DAMAGE[damage](path, path.read_bytes())
+    assert hit._load_cached(q, n) is None
+    hit._QCACHE.pop((hit.cache_dir(), q, n))
+    assert hit.quotient_basis(q, n).echelon.pivots() == fresh
+    # the rebuild rewrote a good file, and only the v2 file is read
+    assert hit._load_cached(q, n).echelon.pivots() == fresh
+
+
+def test_any_one_bit_flip_is_a_miss_or_harmless(tmp_path, monkeypatch):
+    # flips in fields the loader checks, or anywhere in the payload, are
+    # rejected; the rest (engine, omega) cannot change the basis
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    good = hit.quotient_basis(3, 7)
+    path = hit._cache_path(3, 7)
+    data = path.read_bytes()
+    header_end = _header_end(data)
+    for k in range(len(data)):
+        path.write_bytes(_flip(data, k))
+        loaded = hit._load_cached(3, 7)
+        if k > header_end:
+            assert loaded is None, k
+        elif loaded is not None:
+            assert loaded.admissible == good.admissible, k
+            assert loaded.echelon.pivots() == good.echelon.pivots(), k
 
 
 def test_kameko_kernel_is_the_exact_kernel():

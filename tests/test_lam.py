@@ -37,6 +37,13 @@ def test_admissible_basis_matches_brute_enumeration():
             assert list(lam.admissible_basis(s, n)) == brute
 
 
+def test_admissible_basis_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        lam.admissible_basis(-1, 3)
+    with pytest.raises(ValueError):
+        lam.admissible_basis(2, -1)
+
+
 @given(words)
 def test_normalize_outputs_admissible_words(w):
     for out in lam.normalize([w]):

@@ -89,5 +89,10 @@ def test_transfer_report_shapes():
     assert rep21.generators == () and rep21.image == ()
 
 
+def test_transfer_image_at_degree_45():
+    # n = 45 = 2^{s+t+1} + 2^{s+1} - 3 at (s, t) = (3, 1)
+    assert transfer.transfer_image_report(4, 45).image == ("h_0h_3^2h_5",)
+
+
 def test_square_compatibility_of_transfer_and_doubling():
     assert transfer.sq0_compat_check(4, 9)
