@@ -3,6 +3,8 @@
 A divided monomial a_1^{(j_1)}...a_q^{(j_q)} is stored as the tuple of its
 orders (j_1,...,j_q) -- the same tuple universe as exponent vectors on the
 polynomial side, which makes the order/exponent pairing a set intersection.
+Since <e Sq^t, u> = <e, Sq^t u>, the primitives are the annihilator of the
+hit subspace: the kernel of the rows of the echelon that `hit` builds.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
-from . import linalg
+from . import action, hit, linalg
 from .poly import Polynomial, binom2, monomials
 
 DividedMonomial = tuple  # tuple[int, ...]
@@ -74,26 +76,19 @@ def is_primitive(e: Iterable[DividedMonomial]) -> bool:
     return True
 
 
+def _annihilator(echelon: linalg.EchelonBasis, q: int, n: int) -> tuple:
+    """Dual elements pairing to zero with every row of a degree-n echelon."""
+    src = monomials(q, n)
+    return tuple(
+        frozenset(src[c] for c in linalg.support(v))
+        for v in linalg.kernel_basis(echelon.rows(), echelon.width)
+    )
+
+
 @lru_cache(maxsize=None)
 def primitive_basis(q: int, n: int) -> tuple:
-    """Basis of the simultaneous kernel of the dual_sq(2^i), as DualElements."""
-    src = monomials(q, n)
-    idx = {m: k for k, m in enumerate(src)}
-    rows: list = []
-    i = 0
-    while (1 << i) <= n:
-        t = 1 << i
-        tgt = {u: k for k, u in enumerate(monomials(q, n - t))}
-        functional = [0] * len(tgt)
-        for m in src:
-            for u in _dual_sq_monomial(t, m):
-                functional[tgt[u]] ^= 1 << idx[m]
-        rows.extend(v for v in functional if v)
-        i += 1
-    kernel = linalg.kernel_basis(rows, len(src))
-    return tuple(
-        frozenset(src[c] for c in linalg.support(v)) for v in kernel
-    )
+    """Basis of the degree-n primitives: the (canonical) rref kernel of the hit rows."""
+    return _annihilator(hit.hit_subspace(q, n).echelon, q, n)
 
 
 def pairing(e: Iterable[DividedMonomial], f: Polynomial) -> int:
@@ -109,13 +104,11 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
     a primitive e_a with pairing(e_a, u_b) = delta_ab; the certificate is that
     pairing row, recomputed from the returned element.
     """
-    from . import action, hit
-
     space = hit.quotient_basis(q, n)
     invs = [space.poly_of_vec(v) for v in action.invariant_subspace(space, gens)]
     if not invs:
         return []
-    prims = primitive_basis(q, n)
+    prims = _annihilator(space.echelon, q, n)
     # column k: bit b set when primitive k pairs to 1 with invariant b
     columns = [
         linalg.from_support(b for b, u in enumerate(invs) if pairing(p, u))

@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -82,6 +83,14 @@ def _universe(q: int, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _index(q: int, n: int) -> dict:
     return {m: k for k, m in enumerate(_universe(q, n))}
+
+
+@lru_cache(maxsize=None)
+def _weights(q: int, n: int) -> tuple:
+    """Weight vector of each degree-n monomial; equal vectors share a tuple."""
+    shared: dict = {}
+    return tuple(shared.setdefault(w, w)
+                 for w in map(poly.weight_of, _universe(q, n)))
 
 
 def vectorize(f: Polynomial, q: int, n: int) -> int:
@@ -140,8 +149,8 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
         if spike is None:
             raise ValueError(f"seeded engine needs a minimal spike: mu({n}) > {q}")
         spike_w = poly.weight_of(spike)
-        for c, m in enumerate(_universe(q, n)):
-            if poly.weight_of(m) < spike_w:
+        for c, w in enumerate(_weights(q, n)):
+            if w < spike_w:
                 basis.insert(1 << c)
                 mask ^= 1 << c
     elif engine != "full":
@@ -273,7 +282,7 @@ def _load_cached(q: int, n: int):
 
 def enumerate_weights(q: int, n: int) -> list:
     """All weight vectors realized by degree-n monomials, ascending."""
-    return sorted({poly.weight_of(m) for m in _universe(q, n)})
+    return sorted(set(_weights(q, n)))
 
 
 def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
@@ -287,11 +296,10 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     if poly.weight_degree(omega) != n:
         raise ValueError(f"deg{omega} != {n}")
     qb = quotient_basis(q, n)
-    uni = _universe(q, n)
-    block = [c for c, m in enumerate(uni) if poly.weight_of(m) == omega]
+    block = [c for c, w in enumerate(_weights(q, n)) if w == omega]
     bmask = linalg.from_support(block)
     by_pivot = qb.echelon.rows_by_pivot()
-    projected = linalg.EchelonBasis(len(uni))
+    projected = linalg.EchelonBasis(qb.echelon.width)
     for c in block:
         row = by_pivot.get(c)
         if row is not None:
@@ -301,14 +309,10 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
     """dim (Q^q_n)^omega for every realized omega, from the pivot weights."""
-    uni = _universe(qb.q, qb.n)
-    total: dict = {}
-    for m in uni:
-        w = poly.weight_of(m)
-        total[w] = total.get(w, 0) + 1
-    for c in qb.echelon.pivots():
-        total[poly.weight_of(uni[c])] -= 1
-    return {w: d for w, d in sorted(total.items())}
+    weights = _weights(qb.q, qb.n)
+    total = Counter(weights)
+    total.subtract(weights[c] for c in qb.echelon.pivots())
+    return dict(sorted(total.items()))
 
 
 # --- Kameko kernel ----------------------------------------------------------------

@@ -33,11 +33,13 @@ def from_support(coords: Iterable[int]) -> int:
 
 
 def support(v: int) -> Iterator[int]:
-    """Yield set coordinates of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
+    """Set coordinates of v, lowest first."""
+    out = []
+    while v:  # clearing the top bit shrinks v; ``v & -v`` is full width
+        b = v.bit_length() - 1
+        out.append(b)
+        v ^= 1 << b
+    return reversed(out)
 
 
 class EchelonBasis:
@@ -156,17 +158,13 @@ def kernel_basis(rows: Iterable[int], width: int) -> list[int]:
     for r in rows:
         eb.insert(r)
     reduced = eb.rref()
-    pivot_set = set(reduced)
-    out = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for p, row in reduced.items():
-            if (row >> f) & 1:
-                v |= 1 << p
-        out.append(v)
-    return out
+    # transpose: free coordinate f -> pivots whose reduced row contains f
+    cols: dict[int, list[int]] = {}
+    for p, row in reduced.items():
+        for f in support(row ^ (1 << p)):
+            cols.setdefault(f, []).append(p)
+    return [(1 << f) | from_support(cols.get(f, ()))
+            for f in range(width) if f not in reduced]
 
 
 def solve_combination(targets: Iterable[int], rhs: int) -> int | None:

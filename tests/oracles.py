@@ -3,8 +3,9 @@
 Everything here is written from first principles with stdlib tools only:
 naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
 elimination over lexicographically ordered monomials, a batch
-all-generators hit-space construction, and the literal subspace-intersection
-route to the weight blocks.  Nothing imports hitq.
+all-generators hit-space construction, the literal subspace-intersection
+route to the weight blocks, and the primitives as the common kernel of the
+dual Sq^{2^i} functionals.  Nothing imports hitq.
 """
 
 from __future__ import annotations
@@ -127,6 +128,86 @@ def intersect_coordinate_subspace(gens, width: int, allowed: int) -> list:
     return [row for row in pivots.values() if not row & blocked]
 
 
+def _splits(t: int, bounds: tuple):
+    """Tuples (t_1, ..., t_q) summing to t with 0 <= t_s <= bounds[s]."""
+    if not bounds:
+        if t == 0:
+            yield ()
+        return
+    for s in range(min(t, bounds[0]) + 1):
+        for rest in _splits(t - s, bounds[1:]):
+            yield (s,) + rest
+
+
+def dual_sq(t: int, m: Mono) -> set:
+    """(m)Sq^t for a divided monomial m of orders (j_1, ..., j_q).
+
+    Dual to the Cartan rule Sq^s(x^a) = C(a, s) x^(a+s): order j drops by
+    t_s with coefficient C(j - t_s, t_s) mod 2, over splits t = sum t_s;
+    the coefficient vanishes once 2 t_s > j.
+    """
+    out: set = set()
+    for split in _splits(t, tuple(j // 2 for j in m)):
+        if all(comb2(j - s, s) for j, s in zip(m, split)):
+            out ^= {tuple(j - s for j, s in zip(m, split))}
+    return out
+
+
+def kernel(rows: list, width: int) -> list:
+    """Basis of {x : parity(r & x) = 0 for every row r} by Gauss-Jordan.
+
+    Pivots are the LOWEST set bits; the reduced rows then give, for each
+    free coordinate f, the kernel vector e_f + sum of the pivots whose row
+    contains f.
+    """
+    pivots: dict = {}
+    for r in rows:
+        while r:
+            p = (r & -r).bit_length() - 1
+            if p not in pivots:
+                pivots[p] = r
+                break
+            r ^= pivots[p]
+    clean: dict = {}
+    for p in sorted(pivots, reverse=True):  # higher pivots are clean first
+        body, fixed = pivots[p] ^ (1 << p), 0
+        while body:
+            c = (body & -body).bit_length() - 1
+            if c in clean:
+                body ^= clean[c]
+            else:
+                fixed |= 1 << c
+                body ^= 1 << c
+        clean[p] = (1 << p) | fixed
+    out = []
+    for f in range(width):
+        if f not in clean:
+            out.append((1 << f) | sum(1 << p for p, row in clean.items()
+                                      if (row >> f) & 1))
+    return out
+
+
+def primitive_basis(q: int, n: int) -> list:
+    """Primitives of degree n as sets of divided monomials.
+
+    Each Sq^{2^i} maps degree n to degree n - 2^i; every target monomial u
+    gives the functional e -> coefficient of u in (e)Sq^{2^i}, and the
+    primitives are the common kernel of those functionals.
+    """
+    universe = all_monomials(q, n)
+    rows: list = []
+    t = 1
+    while t <= n:
+        functional = {u: 0 for u in all_monomials(q, n - t)}
+        for k, m in enumerate(universe):
+            for u in dual_sq(t, m):
+                functional[u] ^= 1 << k
+        rows.extend(r for r in functional.values() if r)
+        t *= 2
+    return [{universe[k] for k in range(len(universe)) if (v >> k) & 1}
+            for v in kernel(rows, len(universe))]
+
+
 def weight_vector(m: Mono) -> tuple:
     """Entry j counts the exponents of m with binary digit j set."""
     top = max(m, default=0).bit_length()
@@ -155,12 +236,15 @@ def weight_block_dimension(q: int, n: int, omega: tuple) -> int:
 __all__ = [
     "all_monomials",
     "comb2",
+    "dual_sq",
     "hit_dimension",
     "hit_generators",
     "hit_membership",
     "intersect_coordinate_subspace",
+    "kernel",
     "naive_sq",
     "one_variable_dimension",
+    "primitive_basis",
     "rank2",
     "weight_block_dimension",
     "weight_vector",

@@ -75,6 +75,20 @@ def test_primitives_command():
     assert rows[0]["dim"] == "46" and rows[0]["kind"] == "primitive"
 
 
+def test_primitives_command_writes_no_cache(tmp_path):
+    # primitives come from a fresh hit echelon; no quotient is cached
+    from hitq import dual
+
+    dual.primitive_basis.cache_clear()
+    r = _run("primitives", "--q", "4", "--degrees", "24,33",
+             "--cache", str(tmp_path), "--jobs", "1")
+    assert r.exit_code == 0
+    assert r.output.splitlines() == ["primitives(q=4, n=24): dim = 70",
+                                     "primitives(q=4, n=33): dim = 136"]
+    assert not list(tmp_path.glob("hit-q4-n24*"))
+    assert not list(tmp_path.glob("hit-q4-n33*"))
+
+
 def test_usage_errors_exit_2():
     cases = [
         ("basis", "--q", "4"),  # no degree at all

@@ -64,6 +64,18 @@ def test_primitive_basis_elements_are_primitive_and_independent():
         assert oracles.rank2(masks) == len(prims)
 
 
+def test_primitive_basis_matches_dual_sq_oracle():
+    # the annihilator of the hit echelon against the kernel of the dual
+    # Sq^{2^i} functionals; the coordinate orders differ, so compare spans
+    for q, top in ((2, 20), (3, 20), (4, 24)):
+        for n in range(1, top + 1):
+            idx = {m: k for k, m in enumerate(poly.monomials(q, n))}
+            got = [sum(1 << idx[m] for m in p) for p in dual.primitive_basis(q, n)]
+            want = [sum(1 << idx[m] for m in p) for p in oracles.primitive_basis(q, n)]
+            assert len(got) == len(want) == oracles.rank2(want), (q, n)
+            assert oracles.rank2(got + want) == len(got), (q, n)
+
+
 def test_primitive_dimension_equals_quotient_dimension():
     for q, dims in fixtures.ORACLE_DIMS.items():
         for n, want in enumerate(dims):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,33 @@ def test_support_round_trip():
     assert linalg.from_support([0, 3, 5]) == 0b101001
     assert list(linalg.support(0b101001)) == [0, 3, 5]
     assert list(linalg.support(0)) == []
+    # wide and sparse, as cache rows and reduced vectors are
+    coords = [0, 7, 49_998, 49_999, 50_000, 50_123]
+    assert list(linalg.support(linalg.from_support(coords))) == coords
+    rng = random.Random(5)
+    for _ in range(50):
+        coords = sorted(rng.sample(range(50_200), rng.randint(1, 6)))
+        assert list(linalg.support(linalg.from_support(coords))) == coords
+    # kernel_basis transposes its rref rows through support; the kernel
+    # holds width - rank vectors, so the width stays moderate here
+    width = 4_000
+    for _ in range(10):
+        # rows touch few coordinates, half of them near the top
+        live = sorted(set(rng.sample(range(width), 20))
+                      | set(rng.sample(range(width - 50, width), 20)))
+        rows = [linalg.from_support(rng.sample(live, rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 30))]
+        ker = linalg.kernel_basis(rows, width)
+        assert len(ker) == width - oracles.rank2(rows)
+        live_mask = linalg.from_support(live)
+        touching = [k for k in ker if k & live_mask]
+        assert not any(k & ~live_mask for k in touching)
+        assert oracles.rank2(touching) == len(touching)
+        for k in touching:
+            assert all(bin(r & k).count("1") % 2 == 0 for r in rows)
+        units = [k for k in ker if not k & live_mask]
+        assert all(k.bit_count() == 1 for k in units)
+        assert len(set(units)) == len(units) == width - len(live)
 
 
 @given(vector_lists)
