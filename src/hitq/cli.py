@@ -7,52 +7,12 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import click
 
 from . import action, dual, hit, lam, poly, transfer
 
 LONG_THRESHOLD = 80
-
-
-@dataclass
-class JobSpec:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    q: int
-    degrees: tuple
-    group: str = "gl"
-    by_weight: bool = False
-    omega: tuple | None = None
-    fmt: str = "text"
-    cache: str | None = None
-    jobs: int = 1
-    allow_long: bool = False
-    long_threshold: int = LONG_THRESHOLD
-
-    def validate(self) -> None:
-        if self.q < 1:
-            raise click.UsageError("--q must be at least 1")
-        if not self.degrees:
-            raise click.UsageError("no degrees given")
-        for n in self.degrees:
-            if n < 0:
-                raise click.UsageError(f"degree {n} is negative")
-            if n > self.long_threshold and not self.allow_long:
-                raise click.UsageError(
-                    f"degree {n} exceeds the long-job threshold "
-                    f"({self.long_threshold}); rerun with --allow-long"
-                )
-        if self.omega is not None:
-            if len(self.degrees) != 1:
-                raise click.UsageError("--omega requires a single --n")
-            if poly.weight_degree(self.omega) != self.degrees[0]:
-                raise click.UsageError(
-                    f"weight vector {self.omega} has degree "
-                    f"{poly.weight_degree(self.omega)}, not {self.degrees[0]}"
-                )
 
 
 def _parse_ints(text: str, what: str) -> tuple:
@@ -62,18 +22,26 @@ def _parse_ints(text: str, what: str) -> tuple:
         raise click.UsageError(f"cannot parse {what} list {text!r}")
 
 
-def _spec(command, q, n, degrees, fmt, cache, jobs, allow_long, long_threshold,
-          group="gl", by_weight=False, omega=None) -> JobSpec:
+def _degrees(opts: dict) -> tuple:
+    """The degrees of --n or --degrees, after the --q and long-job checks."""
+    n, degrees = opts["n"], opts["degrees"]
     if (n is None) == (degrees is None):
         raise click.UsageError("provide exactly one of --n or --degrees")
     degs = (n,) if n is not None else _parse_ints(degrees, "degree")
-    om = _parse_ints(omega, "weight") if omega is not None else None
-    spec = JobSpec(command, q, degs, group, by_weight, om, fmt, cache,
-                   jobs if jobs > 0 else (os.cpu_count() or 1),
-                   allow_long, long_threshold)
-    spec.validate()
-    _override_cache(spec.cache)
-    return spec
+    if opts["q"] < 1:
+        raise click.UsageError("--q must be at least 1")
+    if not degs:
+        raise click.UsageError("no degrees given")
+    limit = opts["long_threshold"]
+    for d in degs:
+        if d < 0:
+            raise click.UsageError(f"degree {d} is negative")
+        if d > limit and not opts["allow_long"]:
+            raise click.UsageError(
+                f"degree {d} exceeds the long-job threshold "
+                f"({limit}); rerun with --allow-long"
+            )
+    return degs
 
 
 def _override_cache(cache: str | None) -> None:
@@ -112,77 +80,101 @@ def _common_options(f):
     return f
 
 
-# --- parallel degree sweeps ---------------------------------------------------
+# --- degree jobs: (q, n, arg) -> (JSON entry, CSV rows, text lines) -----------
+
+def _omega_str(omega) -> str:
+    return "(" + ",".join(str(w) for w in omega) + ")"
+
+
+def _basis_job(q, n, by_weight):
+    qb = hit.quotient_basis(q, n)
+    entry = {"n": n, "dim": qb.dim}
+    rows = [(q, n, "", qb.dim, "total")]
+    lines = [f"Q^{q}_{n}: dim = {qb.dim}"]
+    if by_weight:
+        weights = hit.weight_dimensions(qb).items()
+        entry["weights"] = [{"omega": list(om), "dim": d} for om, d in weights]
+        rows += [(q, n, _omega_str(om), d, "weight") for om, d in weights]
+        lines += [f"  omega={_omega_str(om)}: dim = {d}" for om, d in weights]
+    return entry, rows, lines
+
+
+def _block_job(q, n, omega):
+    dim = hit.weight_quotient(q, n, omega).dim
+    return ({"n": n, "omega": list(omega), "dim": dim},
+            [(q, n, _omega_str(omega), dim, "weight")],
+            [f"Q^{q}_{n} | omega={_omega_str(omega)}: dim = {dim}"])
+
+
+def _invariants_job(q, n, group):
+    qb = hit.quotient_basis(q, n)
+    inv = len(action.invariant_subspace(qb, action.group_generators(q, group)))
+    return ({"n": n, "dim": qb.dim, "invariants": inv},
+            [(q, n, "", inv, f"invariant-{group}")],
+            [f"(Q^{q}_{n})^{group}: dim = {inv}"])
+
+
+def _primitives_job(q, n, _):
+    dim = len(dual.primitive_basis(q, n))
+    return ({"n": n, "dim": dim}, [(q, n, "", dim, "primitive")],
+            [f"primitives(q={q}, n={n}): dim = {dim}"])
+
+
+def _transfer_job(q, n, _):
+    rep = transfer.transfer_image_report(q, n)
+    gens = [{
+        "element": {"q": q, "n": n, "terms": sorted(list(m) for m in e)},
+        "cycle": {"terms": lam.to_display(z)},
+        "classes": list(ident) if isinstance(ident, tuple) else ident,
+    } for e, z, ident in rep.generators]
+    image = sorted(rep.image)
+    shown = image + ([f"{rep.unidentified} unidentified"]
+                     if rep.unidentified else [])
+    if not gens:
+        line = f"n={n}: Im Tr_{q} = 0 (no coinvariant generators)"
+    elif not shown:
+        line = f"n={n}: Im Tr_{q} = 0 (boundary image)"
+    else:
+        line = (f"n={n}: Im Tr_{q} = ⟨{', '.join(shown)}⟩ "
+                f"({len(gens)} generator(s))")
+    entry = {"n": n, "generators": gens, "image": image,
+             "unidentified": rep.unidentified}
+    return entry, [(q, n, "", len(gens), "transfer")], [line]
+
+
+# --- the degree sweep -----------------------------------------------------------
 
 def _init_worker(cache: str | None) -> None:
     if cache:
         os.environ["HITQ_CACHE"] = cache
 
 
-def _map_jobs(spec: JobSpec, fn, argslist: list) -> list:
-    if spec.jobs > 1 and len(argslist) > 1:
-        workers = min(spec.jobs, len(argslist))
+def _sweep(head: dict, job, arg, degs: tuple, opts: dict) -> None:
+    """Run job(q, n, arg) for each degree, in order, and print the report."""
+    q, cache = opts["q"], opts["cache"]
+    _override_cache(cache)
+    jobs = opts["jobs"] if opts["jobs"] > 0 else (os.cpu_count() or 1)
+    workers = min(jobs, len(degs))
+    if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(spec.cache,)) as pool:
-            return list(pool.map(fn, argslist))
-    return [fn(a) for a in argslist]
-
-
-def _basis_job(args):
-    q, n, with_weights = args
-    qb = hit.quotient_basis(q, n)
-    weights = None
-    if with_weights:
-        weights = list(hit.weight_dimensions(qb).items())
-    return qb.dim, weights
-
-
-def _invariants_job(args):
-    q, n, group = args
-    qb = hit.quotient_basis(q, n)
-    gens = action.group_generators(q, group)
-    return qb.dim, len(action.invariant_subspace(qb, gens))
-
-
-def _primitives_job(args):
-    q, n = args
-    return len(dual.primitive_basis(q, n))
-
-
-def _transfer_job(args):
-    q, n = args
-    rep = transfer.transfer_image_report(q, n)
-    gens = []
-    for e, z, ident in rep.generators:
-        gens.append({
-            "element": {"q": q, "n": n, "terms": sorted(list(m) for m in e)},
-            "cycle": {"terms": lam.to_display(z)},
-            "classes": list(ident) if isinstance(ident, tuple) else ident,
-        })
-    return {"generators": gens, "image": sorted(rep.image),
-            "unidentified": rep.unidentified}
-
-
-# --- report emission ----------------------------------------------------------
-
-def _omega_str(omega) -> str:
-    return "(" + ",".join(str(w) for w in omega) + ")"
-
-
-def _emit(spec: JobSpec, payload: dict, rows: list, lines: list) -> None:
-    if spec.fmt == "json":
+                                 initargs=(cache,)) as pool:
+            out = list(pool.map(job, [q] * len(degs), degs, [arg] * len(degs)))
+    else:
+        out = [job(q, d, arg) for d in degs]
+    if opts["fmt"] == "json":
+        payload = {**head, "q": q, "results": [entry for entry, _, _ in out]}
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    elif spec.fmt == "csv":
+    elif opts["fmt"] == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["q", "n", "omega", "dim", "kind"])
-        for q, n, omega, dim, kind in rows:
-            writer.writerow(
-                [q, n, "" if omega is None else _omega_str(omega), dim, kind])
+        for _, rows, _ in out:
+            writer.writerows(rows)
         click.echo(buf.getvalue().rstrip("\n"))
     else:
-        for line in lines:
-            click.echo(line)
+        for _, _, lines in out:
+            for line in lines:
+                click.echo(line)
 
 
 @click.group()
@@ -196,98 +188,43 @@ def main():
               help="also report per weight-vector dimensions")
 @click.option("--omega", default=None, metavar="W1,W2,...",
               help="restrict to a single weight-vector block")
-def basis(q, n, degrees, fmt, cache, jobs, allow_long, long_threshold,
-          by_weight, omega):
+def basis(by_weight, omega, **opts):
     """Dimensions of the quotients Q^q_n over the admissible basis."""
-    spec = _spec("basis", q, n, degrees, fmt, cache, jobs, allow_long,
-                 long_threshold, by_weight=by_weight, omega=omega)
-    rows, lines, results = [], [], []
-    if spec.omega is not None:
-        d = spec.degrees[0]
-        dim = hit.weight_quotient(spec.q, d, spec.omega).dim
-        results.append({"n": d, "omega": list(spec.omega), "dim": dim})
-        rows.append((spec.q, d, spec.omega, dim, "weight"))
-        lines.append(f"Q^{spec.q}_{d} | omega={_omega_str(spec.omega)}: dim = {dim}")
-    else:
-        out = _map_jobs(spec, _basis_job,
-                        [(spec.q, d, spec.by_weight) for d in spec.degrees])
-        for d, (dim, weights) in zip(spec.degrees, out):
-            entry = {"n": d, "dim": dim}
-            rows.append((spec.q, d, None, dim, "total"))
-            lines.append(f"Q^{spec.q}_{d}: dim = {dim}")
-            if weights is not None:
-                entry["weights"] = [{"omega": list(om), "dim": dw}
-                                    for om, dw in weights]
-                for om, dw in weights:
-                    rows.append((spec.q, d, om, dw, "weight"))
-                    lines.append(f"  omega={_omega_str(om)}: dim = {dw}")
-            results.append(entry)
-    _emit(spec, {"command": "basis", "q": spec.q, "results": results},
-          rows, lines)
+    degs = _degrees(opts)
+    job, arg = _basis_job, by_weight
+    if omega is not None:
+        job, arg = _block_job, _parse_ints(omega, "weight")
+        if len(degs) != 1:
+            raise click.UsageError("--omega requires a single --n")
+        if poly.weight_degree(arg) != degs[0]:
+            raise click.UsageError(
+                f"weight vector {arg} has degree {poly.weight_degree(arg)}, "
+                f"not {degs[0]}")
+    _sweep({"command": "basis"}, job, arg, degs, opts)
 
 
 @main.command()
 @_common_options
 @click.option("--group", type=click.Choice(["sigma", "gl"]), default="gl",
               show_default=True, help="symmetric group or full GL(q)")
-def invariants(q, n, degrees, fmt, cache, jobs, allow_long, long_threshold,
-               group):
+def invariants(group, **opts):
     """Dimensions of the group-invariant subspaces of Q^q_n."""
-    spec = _spec("invariants", q, n, degrees, fmt, cache, jobs, allow_long,
-                 long_threshold, group=group)
-    out = _map_jobs(spec, _invariants_job,
-                    [(spec.q, d, spec.group) for d in spec.degrees])
-    rows, lines, results = [], [], []
-    for d, (dim, inv) in zip(spec.degrees, out):
-        results.append({"n": d, "dim": dim, "invariants": inv})
-        rows.append((spec.q, d, None, inv, f"invariant-{spec.group}"))
-        lines.append(f"(Q^{spec.q}_{d})^{spec.group}: dim = {inv}")
-    _emit(spec, {"command": "invariants", "q": spec.q, "group": spec.group,
-                 "results": results}, rows, lines)
+    _sweep({"command": "invariants", "group": group}, _invariants_job, group,
+           _degrees(opts), opts)
 
 
 @main.command()
 @_common_options
-def primitives(q, n, degrees, fmt, cache, jobs, allow_long, long_threshold):
+def primitives(**opts):
     """Dimensions of the spaces of Steenrod-annihilated dual elements."""
-    spec = _spec("primitives", q, n, degrees, fmt, cache, jobs, allow_long,
-                 long_threshold)
-    out = _map_jobs(spec, _primitives_job,
-                    [(spec.q, d) for d in spec.degrees])
-    rows, lines, results = [], [], []
-    for d, dim in zip(spec.degrees, out):
-        results.append({"n": d, "dim": dim})
-        rows.append((spec.q, d, None, dim, "primitive"))
-        lines.append(f"primitives(q={spec.q}, n={d}): dim = {dim}")
-    _emit(spec, {"command": "primitives", "q": spec.q, "results": results},
-          rows, lines)
+    _sweep({"command": "primitives"}, _primitives_job, None, _degrees(opts), opts)
 
 
 @main.command("transfer")
 @_common_options
-def transfer_cmd(q, n, degrees, fmt, cache, jobs, allow_long, long_threshold):
+def transfer_cmd(**opts):
     """Transfer images of the coinvariant generators, identified in homology."""
-    spec = _spec("transfer", q, n, degrees, fmt, cache, jobs, allow_long,
-                 long_threshold)
-    out = _map_jobs(spec, _transfer_job, [(spec.q, d) for d in spec.degrees])
-    rows, lines, results = [], [], []
-    for d, rep in zip(spec.degrees, out):
-        results.append({"n": d, **rep})
-        rows.append((spec.q, d, None, len(rep["generators"]), "transfer"))
-        if not rep["generators"]:
-            lines.append(f"n={d}: Im Tr_{spec.q} = 0 (no coinvariant generators)")
-            continue
-        shown = list(rep["image"])
-        if rep["unidentified"]:
-            shown.append(f"{rep['unidentified']} unidentified")
-        if not shown:
-            lines.append(f"n={d}: Im Tr_{spec.q} = 0 (boundary image)")
-            continue
-        lines.append(
-            f"n={d}: Im Tr_{spec.q} = ⟨{', '.join(shown)}⟩ "
-            f"({len(rep['generators'])} generator(s))")
-    _emit(spec, {"command": "transfer", "q": spec.q, "results": results},
-          rows, lines)
+    _sweep({"command": "transfer"}, _transfer_job, None, _degrees(opts), opts)
 
 
 # --- verification suites --------------------------------------------------------
@@ -392,4 +329,4 @@ def verify(suite_name, suite_opt, cache):
         raise SystemExit(1)
 
 
-__all__ = ["JobSpec", "main", "SUITES", "LONG_THRESHOLD"]
+__all__ = ["main", "SUITES", "LONG_THRESHOLD"]

@@ -3,22 +3,23 @@
 Degree-n monomials, sorted ascending in the weight-then-exponent order, are
 the coordinates of one big GF(2) elimination; the greatest monomial of a hit
 element is its pivot, and the non-pivot monomials represent the quotient
-basis.  For large degrees the elimination is seeded: every monomial whose
-weight is below the minimal spike's weight is certainly hit (Singer's
-criterion), so those coordinates enter as singleton pivot rows and the
-Sq^{2^i} generator stream is projected onto the surviving coordinates.
+basis.  Wherever a minimal spike exists the elimination is seeded: every
+monomial whose weight is below the minimal spike's weight is certainly hit
+(Singer's criterion), so those coordinates enter as singleton pivot rows and
+the Sq^{2^i} generator stream is projected onto the surviving coordinates.
+Where none exists (mu(n) > q) every monomial is hit (Wood).
 
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega; a block's relations are the shared elimination's rows
 projected to the exact-omega coordinates.
 
 Each Q^q_n is cached on disk as one atomically written file,
-``hit-q{q}-n{n}-v2.rows``: a JSON header line (shape, rank, dim, engine,
-weight dimensions and the CRC-32 of the payload), then one line per echelon
-row, its set coordinates ascending, rows in ascending pivot order.  A file
-that fails any check on load is a cache miss: the basis is rebuilt and the
-file rewritten.  The CRC guards against truncation and bit flips, not
-tampering.
+``hit-q{q}-n{n}-v2.rows``: a JSON header line (q, n, version, width, rank,
+dim and the CRC-32 of the payload, every field checked on load), then one
+line per echelon row, its set coordinates ascending, rows in ascending pivot
+order.  A file that fails any check on load is a cache miss: the basis is
+rebuilt and the file rewritten.  The CRC guards against truncation and bit
+flips, not tampering.
 """
 
 from __future__ import annotations
@@ -129,12 +130,7 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
         raise ValueError(f"degree {n} is negative")
     width = len(_universe(q, n))
     if engine == "auto":
-        if n <= 24:
-            engine = "full"
-        elif poly.mu(n) > q:
-            engine = "wood"
-        else:
-            engine = "seeded"
+        engine = "wood" if poly.mu(n) > q else "seeded"
     basis = linalg.EchelonBasis(width)
     if engine == "wood":
         # mu(n) > q: every monomial is hit, no elimination needed
@@ -226,12 +222,12 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
     if qb is None:
         hs = hit_subspace(q, n)
         qb = _make_quotient(q, n, hs.echelon, range(hs.echelon.width))
-        _save_cached(qb, hs.engine)
+        _save_cached(qb)
     _QCACHE[key] = qb
     return qb
 
 
-def _save_cached(qb: QuotientBasis, engine: str) -> None:
+def _save_cached(qb: QuotientBasis) -> None:
     by_pivot = qb.echelon.rows_by_pivot()
     payload = "".join(
         " ".join(map(str, linalg.support(by_pivot[p]))) + "\n"
@@ -244,8 +240,6 @@ def _save_cached(qb: QuotientBasis, engine: str) -> None:
         "width": qb.echelon.width,
         "rank": len(by_pivot),
         "dim": qb.dim,
-        "engine": engine,
-        "omega": [[list(w), d] for w, d in weight_dimensions(qb).items()],
         "crc32": zlib.crc32(payload),
     }
     header = json.dumps(meta, sort_keys=True).encode()

@@ -285,7 +285,7 @@ def catalog(s: int, n: int) -> tuple:
     return tuple(out)
 
 
-def identify_class(z: Iterable[Word], names=None):
+def identify_class(z: Iterable[Word]):
     """Express a cycle as a combination of catalog entries modulo boundaries.
 
     Returns the tuple of contributing names (empty for a boundary), or the
@@ -295,7 +295,7 @@ def identify_class(z: Iterable[Word], names=None):
     if not z:
         return ()
     s, n = _bidegree(z)
-    entries = [(nm, el) for nm, el in catalog(s, n) if names is None or nm in names]
+    entries = catalog(s, n)
     bnd = [v for v, _ in _boundaries(s, n)]
     targets = [_vectorize(el, s, n) for _, el in entries] + bnd
     sol = solve_combination(targets, _vectorize(z, s, n))

@@ -123,6 +123,39 @@ def test_reports_are_deterministic():
     assert first.output == second.output
     parallel = _run(*args, "--jobs", "3")
     assert parallel.exit_code == 0 and parallel.output == first.output
+    # every sweep command reports the same in worker processes, in order
+    for args in (("basis", "--degrees", "10,8,9"),
+                 ("invariants", "--degrees", "9,10,17", "--group", "sigma"),
+                 ("primitives", "--degrees", "9,10,8"),
+                 ("transfer", "--degrees", "9,10,17")):
+        args = (*args, "--q", "4", "--format", "json")
+        serial = _run(*args, "--jobs", "1")
+        parallel = _run(*args, "--jobs", "3")
+        assert serial.exit_code == parallel.exit_code == 0, args
+        assert parallel.output == serial.output, args
+        results = json.loads(serial.output)["results"]
+        assert [e["n"] for e in results] == [int(d) for d in args[2].split(",")]
+
+
+def test_transfer_json_and_csv_shape():
+    r = _run("transfer", "--q", "4", "--n", "9", "--format", "json")
+    assert r.exit_code == 0
+    payload = json.loads(r.output)
+    assert payload["command"] == "transfer" and payload["q"] == 4
+    (entry,) = payload["results"]
+    assert entry["n"] == 9 and entry["image"] == ["h_1c_0"]
+    assert entry["unidentified"] == 0
+    (gen,) = entry["generators"]
+    assert gen["classes"] == ["h_1c_0"]
+    assert gen["element"]["q"] == 4 and gen["element"]["n"] == 9
+    assert gen["element"]["terms"] and gen["cycle"]["terms"]
+    assert all(sum(m) == 9 for m in gen["element"]["terms"])
+    assert all(len(w) == 4 for w in gen["cycle"]["terms"])
+    r = _run("transfer", "--q", "4", "--n", "9", "--format", "csv")
+    assert r.exit_code == 0
+    (row,) = csv.DictReader(io.StringIO(r.output))
+    assert row == {"q": "4", "n": "9", "omega": "", "dim": "1",
+                   "kind": "transfer"}
 
 
 def test_cache_flag_writes_to_directory(tmp_path):
