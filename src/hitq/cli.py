@@ -23,13 +23,15 @@ def _parse_ints(text: str, what: str) -> tuple:
 
 
 def _degrees(opts: dict) -> tuple:
-    """The degrees of --n or --degrees, after the --q and long-job checks."""
+    """The degrees of --n or --degrees, after the --q, --jobs and long-job checks."""
     n, degrees = opts["n"], opts["degrees"]
     if (n is None) == (degrees is None):
         raise click.UsageError("provide exactly one of --n or --degrees")
     degs = (n,) if n is not None else _parse_ints(degrees, "degree")
     if opts["q"] < 1:
         raise click.UsageError("--q must be at least 1")
+    if opts["jobs"] < 0:
+        raise click.UsageError("--jobs must be at least 0")
     if not degs:
         raise click.UsageError("no degrees given")
     limit = opts["long_threshold"]

@@ -87,8 +87,14 @@ def _annihilator(echelon: linalg.EchelonBasis, q: int, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def primitive_basis(q: int, n: int) -> tuple:
-    """Basis of the degree-n primitives: the (canonical) rref kernel of the hit rows."""
-    return _annihilator(hit.hit_subspace(q, n).echelon, q, n)
+    """Basis of the degree-n primitives: the (canonical) rref kernel of the hit rows.
+
+    The rows are those of Q^q_n when it is in memory or on disk, else of a
+    fresh elimination; no cache file is written.
+    """
+    qb = hit.cached_quotient(q, n)
+    echelon = qb.echelon if qb is not None else hit.hit_subspace(q, n).echelon
+    return _annihilator(echelon, q, n)
 
 
 def pairing(e: Iterable[DividedMonomial], f: Polynomial) -> int:

@@ -9,6 +9,16 @@ monomial whose weight is below the minimal spike's weight is certainly hit
 the Sq^{2^i} generator stream is projected onto the surviving coordinates.
 Where none exists (mu(n) > q) every monomial is hit (Wood).
 
+The stream builds no term that the projection would drop by its first weight
+entry omega_1, the number of odd exponents.  A Cartan term of Sq^t(m) adds
+a submask t_j of each exponent a_j, and an odd t_j makes a_j + t_j even, so
+the term has omega_1(m) minus the number of odd t_j.  Weights compare
+left-lexicographically, so a term with omega_1 below the spike's is seeded:
+a source m may spend at most omega_1(m) - omega_1(spike) odd parts, and is
+skipped when it cannot (Sq^1 always spends one).  The vectors inserted, and
+their order, are those of the plain Sq^{2^i}(m) images projected and with
+zeros dropped, so every echelon row is unchanged.
+
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega; a block's relations are the shared elimination's rows
 projected to the exact-omega coordinates.
@@ -31,6 +41,8 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import mul
 from pathlib import Path
 from typing import Iterable
 
@@ -89,9 +101,12 @@ def _index(q: int, n: int) -> dict:
 @lru_cache(maxsize=None)
 def _weights(q: int, n: int) -> tuple:
     """Weight vector of each degree-n monomial; equal vectors share a tuple."""
-    shared: dict = {}
-    return tuple(shared.setdefault(w, w)
-                 for w in map(poly.weight_of, _universe(q, n)))
+    out: list = []
+    # the universe is sorted by weight, so equal weights are consecutive
+    for _, run in groupby(_universe(q, n), poly.weight_key(q, n)):
+        run = list(run)
+        out += [poly.weight_of(run[0])] * len(run)
+    return tuple(out)
 
 
 def vectorize(f: Polynomial, q: int, n: int) -> int:
@@ -109,16 +124,42 @@ def unvectorize(v: int, q: int, n: int) -> Polynomial:
     return frozenset(uni[c] for c in linalg.support(v))
 
 
-def _generator_stream(q: int, n: int):
-    """Vectors Sq^{2^i}(m) over all i with 2^i <= n and all m of degree n-2^i."""
-    idx = _index(q, n)
+def _generator_stream(q: int, n: int, floor: WeightVector = ()):
+    """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, in that order,
+    projected onto the coordinates whose weight is at least `floor`.
+
+    Terms with omega_1 below floor[0] are never built (see the module
+    docstring); the others are base-(n+1) int keys looked up in one dict of
+    the kept coordinates.
+    """
+    places = [(n + 1) ** (q - 1 - j) for j in range(q)]
+    coord = {sum(map(mul, m, places)): c
+             for c, (m, w) in enumerate(zip(_universe(q, n), _weights(q, n)))
+             if w >= floor}
+    w1 = floor[0] if floor else 0
+    submasks = [[s for s in range(a + 1) if s & a == s] for a in range(n + 1)]
+    odd = (1).__and__
     i = 0
     while (1 << i) <= n:
         t = 1 << i
         for m in _universe(q, n - t):
+            budget = sum(map(odd, m)) - w1
+            if budget < (i == 0):
+                continue
+            # (still to distribute, key so far, odd parts left) per partial split
+            splits = [(t, sum(map(mul, m, places)), budget)]
+            for a, place in zip(m[:-1], places):
+                splits = [(rest - s, key + s * place, spare - (s & 1))
+                          for rest, key, spare in splits
+                          for s in submasks[a]
+                          if s <= rest and (s & 1) <= spare]
+            last = m[-1]
             v = 0
-            for r in poly.sq_monomial(t, m):
-                v ^= 1 << idx[r]
+            for rest, key, spare in splits:
+                if rest & last == rest and (rest & 1) <= spare:
+                    c = coord.get(key + rest)
+                    if c is not None:
+                        v ^= 1 << c
             if v:
                 yield v
         i += 1
@@ -139,22 +180,19 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
         for c in range(width):
             basis.insert(1 << c)
         return HitSubspace(q, n, basis, engine)
-    mask = (1 << width) - 1
+    floor = ()  # below every weight: the full engine keeps all coordinates
     if engine == "seeded":
         spike = poly.minimal_spike(q, n)
         if spike is None:
             raise ValueError(f"seeded engine needs a minimal spike: mu({n}) > {q}")
-        spike_w = poly.weight_of(spike)
+        floor = poly.weight_of(spike)
         for c, w in enumerate(_weights(q, n)):
-            if w < spike_w:
+            if w < floor:
                 basis.insert(1 << c)
-                mask ^= 1 << c
     elif engine != "full":
         raise ValueError(f"unknown engine {engine!r}")
-    for v in _generator_stream(q, n):
-        v &= mask
-        if v:
-            basis.insert(v)
+    for v in _generator_stream(q, n, floor):
+        basis.insert(v)
     return HitSubspace(q, n, basis, engine)
 
 
@@ -213,17 +251,20 @@ def _make_quotient(q: int, n: int, echelon: linalg.EchelonBasis,
 _QCACHE: dict = {}
 
 
+def cached_quotient(q: int, n: int) -> QuotientBasis | None:
+    """Q^q_n from memory or from its cache file, or None; writes nothing."""
+    qb = _QCACHE.get((cache_dir(), q, n))
+    return qb if qb is not None else _load_cached(q, n)
+
+
 def quotient_basis(q: int, n: int) -> QuotientBasis:
     """Q^q_n with its admissible monomial basis (cached on disk per (q,n))."""
-    key = (cache_dir(), q, n)
-    if key in _QCACHE:
-        return _QCACHE[key]
-    qb = _load_cached(q, n)
+    qb = cached_quotient(q, n)
     if qb is None:
         hs = hit_subspace(q, n)
         qb = _make_quotient(q, n, hs.echelon, range(hs.echelon.width))
         _save_cached(qb)
-    _QCACHE[key] = qb
+    _QCACHE[(cache_dir(), q, n)] = qb
     return qb
 
 
@@ -336,6 +377,7 @@ __all__ = [
     "vectorize",
     "unvectorize",
     "hit_subspace",
+    "cached_quotient",
     "quotient_basis",
     "enumerate_weights",
     "weight_quotient",

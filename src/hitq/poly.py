@@ -129,6 +129,20 @@ def order_key(m: Monomial):
     return (weight_of(m), m)
 
 
+def weight_key(q: int, n: int):
+    """Int sort key on degree-n monomials in q variables, ordered as their weights.
+
+    Bit b of an exponent adds (q+1)^(L-1-b), L = n.bit_length(): summed over
+    the q exponents each digit is a weight entry (at most q), so the key packs
+    the weight vector with omega_1 most significant, and equal keys mean
+    equal weights.
+    """
+    top = n.bit_length()
+    packed = [sum((q + 1) ** (top - 1 - b) for b in range(top) if a >> b & 1)
+              for a in range(n + 1)]
+    return lambda m: sum(map(packed.__getitem__, m))
+
+
 @lru_cache(maxsize=None)
 def monomials(q: int, n: int) -> tuple:
     """All degree-n monomials in q variables, ascending in the monomial order."""
@@ -143,7 +157,9 @@ def monomials(q: int, n: int) -> tuple:
             for tail in gen(vars_left - 1, rest - a):
                 yield (a,) + tail
 
-    return tuple(sorted(gen(q, n), key=order_key))
+    # gen yields exponents in left-lex order, and the sort is stable, so
+    # sorting by weight alone realizes order_key
+    return tuple(sorted(gen(q, n), key=weight_key(q, n)))
 
 
 def is_spike(m: Monomial) -> bool:
@@ -265,6 +281,7 @@ __all__ = [
     "weight_of",
     "weight_degree",
     "order_key",
+    "weight_key",
     "monomials",
     "is_spike",
     "minimal_spike",

@@ -103,6 +103,12 @@ def test_usage_errors_exit_2():
         assert r.exit_code == 2, args
 
 
+def test_negative_jobs_is_a_usage_error():
+    # only 0 means "all cores"; a negative count used to mean it too
+    r = _run("basis", "--q", "4", "--n", "9", "--jobs", "-1")
+    assert r.exit_code == 2 and "--jobs must be at least 0" in r.output
+
+
 def test_long_job_guard():
     r = _run("basis", "--q", "4", "--n", "81")
     assert r.exit_code == 2 and "--allow-long" in r.output

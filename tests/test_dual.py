@@ -76,6 +76,29 @@ def test_primitive_basis_matches_dual_sq_oracle():
             assert oracles.rank2(got + want) == len(got), (q, n)
 
 
+def test_primitive_basis_reads_a_cached_quotient(tmp_path, monkeypatch):
+    # an existing cache file is read, not re-eliminated, and left as it was
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    fresh = dual._annihilator(hit.hit_subspace(4, 24).echelon, 4, 24)
+    hit.quotient_basis(4, 24)
+    hit._QCACHE.pop((tmp_path, 4, 24))
+    (path,) = tmp_path.iterdir()
+    before = path.read_bytes(), path.stat().st_mtime_ns
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("re-eliminated a cached basis")
+
+    monkeypatch.setattr(hit, "hit_subspace", no_elimination)
+    dual.primitive_basis.cache_clear()
+    try:
+        assert dual.primitive_basis(4, 24) == fresh and len(fresh) == 70
+    finally:
+        dual.primitive_basis.cache_clear()
+    assert list(tmp_path.iterdir()) == [path]
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    assert (tmp_path, 4, 24) not in hit._QCACHE
+
+
 def test_primitive_dimension_equals_quotient_dimension():
     for q, dims in fixtures.ORACLE_DIMS.items():
         for n, want in enumerate(dims):

@@ -29,13 +29,43 @@ def test_frozen_oracle_table_is_live():
 def test_engines_agree_on_pivots():
     # equal pivots mean the seeded singletons (monomials below the minimal
     # spike's weight) all lie in the hit span of the full engine
-    cases = ((2, 6), (2, 7), (2, 8), (2, 14), (2, 15),
-             (3, 7), (3, 8), (4, 9), (4, 25),
-             (3, 38), (3, 39), (3, 41), (4, 33), (4, 37), (4, 41))
+    cases = [(2, 6), (2, 7), (2, 8), (2, 14), (2, 15), (3, 41), (4, 41)]
+    cases += [(q, n) for q in (3, 4) for n in range(41)
+              if poly.minimal_spike(q, n) is not None]
     for q, n in cases:
         full = hit.hit_subspace(q, n, engine="full")
         seeded = hit.hit_subspace(q, n, engine="seeded")
         assert full.echelon.pivots() == seeded.echelon.pivots(), (q, n)
+
+
+def _reference_stream(q, n, floor):
+    """Sq^{2^i}(m) by poly.sq_monomial, masked to weights >= floor, zeros dropped."""
+    uni = poly.monomials(q, n)
+    keep = linalg.from_support(
+        c for c, m in enumerate(uni) if poly.weight_of(m) >= floor)
+    out = []
+    i = 0
+    while (1 << i) <= n:
+        for m in poly.monomials(q, n - (1 << i)):
+            v = hit.vectorize(poly.sq_monomial(1 << i, m), q, n) & keep
+            if v:
+                out.append(v)
+        i += 1
+    return out
+
+
+def test_generator_stream_is_exact():
+    # the omega_1 prune and the keyed Cartan enumeration drop exactly the
+    # masked terms: same vectors, same order as the naive route
+    for q, top in ((2, 60), (3, 40), (4, 30), (5, 18)):
+        for n in range(top + 1):
+            spike = poly.minimal_spike(q, n)
+            if spike is not None:
+                floor = poly.weight_of(spike)
+                got = list(hit._generator_stream(q, n, floor))
+                assert got == _reference_stream(q, n, floor), (q, n)
+    for q, n in ((1, 7), (2, 5), (3, 9), (4, 12)):  # the full engine's stream
+        assert list(hit._generator_stream(q, n)) == _reference_stream(q, n, ())
 
 
 def test_wood_engine_where_every_monomial_is_hit():
@@ -94,10 +124,11 @@ def test_singer_filter_only_flags_hit_monomials():
 
 
 def test_enumerate_weights_is_exact():
-    for q, n in ((3, 7), (4, 9)):
+    for q, n in ((3, 7), (4, 9), (4, 45), (5, 24)):
         ws = hit.enumerate_weights(q, n)
         assert ws == sorted({poly.weight_of(m) for m in poly.monomials(q, n)})
         assert all(poly.weight_degree(w) == n for w in ws)
+        assert hit._weights(q, n) == tuple(map(poly.weight_of, poly.monomials(q, n)))
 
 
 def test_weight_quotient_routes_agree():

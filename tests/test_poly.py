@@ -75,13 +75,27 @@ def test_weight_of_examples():
     assert poly.weight_of((0, 0, 0, 0)) == ()
 
 
+def _check_monomial_order(q, n):
+    ms = poly.monomials(q, n)
+    assert list(ms) == sorted(ms, key=poly.order_key), (q, n)
+    # the packed key that sorted them separates exactly the distinct weights
+    key = poly.weight_key(q, n)
+    assert all((key(a) == key(b)) == (poly.weight_of(a) == poly.weight_of(b))
+               for a, b in zip(ms, ms[1:])), (q, n)
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=9))
 def test_monomials_enumeration(q, n):
     ms = poly.monomials(q, n)
     assert len(ms) == math.comb(n + q - 1, q - 1)
     assert len(set(ms)) == len(ms)
     assert all(len(m) == q and sum(m) == n for m in ms)
-    assert list(ms) == sorted(ms, key=poly.order_key)
+    _check_monomial_order(q, n)
+
+
+def test_monomial_order_at_large_degrees():
+    for q, n in ((3, 70), (4, 45), (4, 65), (5, 24), (5, 30)):
+        _check_monomial_order(q, n)
 
 
 def test_minimal_spike_properties():
