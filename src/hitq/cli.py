@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -158,6 +157,8 @@ def _sweep(head: dict, job, arg, degs: tuple, opts: dict) -> None:
     jobs = opts["jobs"] if opts["jobs"] > 0 else (os.cpu_count() or 1)
     workers = min(jobs, len(degs))
     if workers > 1:
+        # imported here: one worker, the common case, skips its start-up cost
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=_init_worker,
                                  initargs=(cache,)) as pool:
             out = list(pool.map(job, [q] * len(degs), degs, [arg] * len(degs)))

@@ -77,11 +77,16 @@ def is_primitive(e: Iterable[DividedMonomial]) -> bool:
 
 
 def _annihilator(echelon: linalg.EchelonBasis, q: int, n: int) -> tuple:
-    """Dual elements pairing to zero with every row of a degree-n echelon."""
-    src = monomials(q, n)
+    """Dual elements pairing to zero with every row of a degree-n echelon.
+
+    They vanish on the echelon's unit block, so the kernel is taken over the
+    stored rows' shifted coordinates alone.
+    """
+    src = monomials(q, n)[echelon.low:]
     return tuple(
         frozenset(src[c] for c in linalg.support(v))
-        for v in linalg.kernel_basis(echelon.rows(), echelon.width)
+        for v in linalg.kernel_basis(echelon.rows(),
+                                     echelon.width - echelon.low)
     )
 
 

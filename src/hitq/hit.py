@@ -5,9 +5,12 @@ the coordinates of one big GF(2) elimination; the greatest monomial of a hit
 element is its pivot, and the non-pivot monomials represent the quotient
 basis.  Wherever a minimal spike exists the elimination is seeded: every
 monomial whose weight is below the minimal spike's weight is certainly hit
-(Singer's criterion), so those coordinates enter as singleton pivot rows and
-the Sq^{2^i} generator stream is projected onto the surviving coordinates.
-Where none exists (mu(n) > q) every monomial is hit (Wood).
+(Singer's criterion).  The universe is sorted by weight, so those monomials
+are a prefix [0, low) of the coordinates: the echelon holds them as an
+implicit unit block (see :class:`linalg.EchelonBasis`), and the Sq^{2^i}
+generator stream is projected onto the surviving coordinates [low, width),
+shifted down by low.  Where no spike exists (mu(n) > q) every monomial is hit
+(Wood) and low is the width; the full engine has low = 0.
 
 The stream builds no term that the projection would drop by its first weight
 entry omega_1, the number of odd exponents.  A Cartan term of Sq^t(m) adds
@@ -16,20 +19,22 @@ the term has omega_1(m) minus the number of odd t_j.  Weights compare
 left-lexicographically, so a term with omega_1 below the spike's is seeded:
 a source m may spend at most omega_1(m) - omega_1(spike) odd parts, and is
 skipped when it cannot (Sq^1 always spends one).  The vectors inserted, and
-their order, are those of the plain Sq^{2^i}(m) images projected and with
-zeros dropped, so every echelon row is unchanged.
+their order, are those of the plain Sq^{2^i}(m) images projected, shifted
+and with zeros dropped, so the prune changes no stored echelon row.
 
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega; a block's relations are the shared elimination's rows
 projected to the exact-omega coordinates.
 
 Each Q^q_n is cached on disk as one atomically written file,
-``hit-q{q}-n{n}-v2.rows``: a JSON header line (q, n, version, width, rank,
-dim and the CRC-32 of the payload, every field checked on load), then one
-line per echelon row, its set coordinates ascending, rows in ascending pivot
-order.  A file that fails any check on load is a cache miss: the basis is
-rebuilt and the file rewritten.  The CRC guards against truncation and bit
-flips, not tampering.
+``hit-q{q}-n{n}-v3.rows``: a JSON header line (q, n, version, width, low,
+rank, dim and the CRC-32 of the payload, every field checked on load), then
+one line per stored echelon row, its set coordinates shifted down by low and
+ascending, rows in ascending pivot order.  The unit block is not written;
+the loader derives low from (q, n).  A file that fails any check on load is
+a cache miss, and so is a file of an older layout: the basis is rebuilt and
+the file rewritten.  The CRC guards against truncation and bit flips, not
+tampering.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import json
 import os
 import tempfile
 import zlib
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +55,7 @@ from typing import Iterable
 from . import linalg, poly
 from .poly import Polynomial, WeightVector
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 # --- cache ------------------------------------------------------------------
@@ -86,7 +92,6 @@ class HitSubspace:
     q: int
     n: int
     echelon: linalg.EchelonBasis
-    engine: str = "full"
 
 
 def _universe(q: int, n: int) -> tuple:
@@ -124,18 +129,32 @@ def unvectorize(v: int, q: int, n: int) -> Polynomial:
     return frozenset(uni[c] for c in linalg.support(v))
 
 
+def _low(q: int, n: int, floor: WeightVector) -> int:
+    """Number of degree-n monomials whose weight is below `floor`: a prefix."""
+    return bisect_left(_universe(q, n), floor, key=poly.weight_of)
+
+
+def _auto_low(q: int, n: int) -> int:
+    """The auto engine's unit block: the monomials below the minimal spike's
+    weight, or all of them when there is no spike."""
+    spike = poly.minimal_spike(q, n)
+    if spike is None:
+        return len(_universe(q, n))
+    return _low(q, n, poly.weight_of(spike))
+
+
 def _generator_stream(q: int, n: int, floor: WeightVector = ()):
     """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, in that order,
-    projected onto the coordinates whose weight is at least `floor`.
+    projected onto the coordinates whose weight is at least `floor` and
+    shifted down by the number of coordinates below it.
 
     Terms with omega_1 below floor[0] are never built (see the module
     docstring); the others are base-(n+1) int keys looked up in one dict of
     the kept coordinates.
     """
     places = [(n + 1) ** (q - 1 - j) for j in range(q)]
-    coord = {sum(map(mul, m, places)): c
-             for c, (m, w) in enumerate(zip(_universe(q, n), _weights(q, n)))
-             if w >= floor}
+    kept = _universe(q, n)[_low(q, n, floor):]
+    coord = {sum(map(mul, m, places)): c for c, m in enumerate(kept)}
     w1 = floor[0] if floor else 0
     submasks = [[s for s in range(a + 1) if s & a == s] for a in range(n + 1)]
     odd = (1).__and__
@@ -172,28 +191,23 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
     width = len(_universe(q, n))
     if engine == "auto":
         engine = "wood" if poly.mu(n) > q else "seeded"
-    basis = linalg.EchelonBasis(width)
     if engine == "wood":
         # mu(n) > q: every monomial is hit, no elimination needed
         if poly.mu(n) <= q:
             raise ValueError(f"wood engine needs mu({n}) > {q}")
-        for c in range(width):
-            basis.insert(1 << c)
-        return HitSubspace(q, n, basis, engine)
+        return HitSubspace(q, n, linalg.EchelonBasis(width, width))
     floor = ()  # below every weight: the full engine keeps all coordinates
     if engine == "seeded":
         spike = poly.minimal_spike(q, n)
         if spike is None:
             raise ValueError(f"seeded engine needs a minimal spike: mu({n}) > {q}")
         floor = poly.weight_of(spike)
-        for c, w in enumerate(_weights(q, n)):
-            if w < floor:
-                basis.insert(1 << c)
     elif engine != "full":
         raise ValueError(f"unknown engine {engine!r}")
+    basis = linalg.EchelonBasis(width, _low(q, n, floor))
     for v in _generator_stream(q, n, floor):
-        basis.insert(v)
-    return HitSubspace(q, n, basis, engine)
+        basis.insert_shifted(v)
+    return HitSubspace(q, n, basis)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -279,7 +293,8 @@ def _save_cached(qb: QuotientBasis) -> None:
         "n": qb.n,
         "version": CACHE_VERSION,
         "width": qb.echelon.width,
-        "rank": len(by_pivot),
+        "low": qb.echelon.low,
+        "rank": qb.echelon.rank,
         "dim": qb.dim,
         "crc32": zlib.crc32(payload),
     }
@@ -296,16 +311,18 @@ def _load_cached(q: int, n: int):
         checked = [meta[k] for k in ("version", "q", "n", "width", "crc32")]
         if checked != [CACHE_VERSION, q, n, width, zlib.crc32(payload)]:
             return None
+        low = _auto_low(q, n)
         lines = payload.splitlines()
-        if len(lines) != meta["rank"]:
+        if meta["low"] != low or low + len(lines) != meta["rank"]:
             return None
-        basis = linalg.EchelonBasis(width)
+        basis = linalg.EchelonBasis(width, low)
         for line in lines:
             coords = [int(t) for t in line.split()]
             v = linalg.from_support(coords)  # ValueError on a negative one
-            # insert raises on a coordinate >= width, refuses an empty row and
-            # reduces a row whose pivot repeats an earlier one
-            if v.bit_count() != len(coords) or basis.insert(v) != (True, v):
+            # insert_shifted raises on a coordinate >= width - low, refuses an
+            # empty row and reduces a row whose pivot repeats an earlier one
+            if (v.bit_count() != len(coords)
+                    or basis.insert_shifted(v) != (True, v)):
                 return None
         qb = _make_quotient(q, n, basis, range(width))
         return qb if qb.dim == meta["dim"] else None
@@ -332,13 +349,16 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
         raise ValueError(f"deg{omega} != {n}")
     qb = quotient_basis(q, n)
     block = [c for c, w in enumerate(_weights(q, n)) if w == omega]
-    bmask = linalg.from_support(block)
+    # a block below the spike's weight lies inside the unit block: dim 0
+    low = qb.echelon.low
+    shifted = [c - low for c in block if c >= low]
+    bmask = linalg.from_support(shifted)
     by_pivot = qb.echelon.rows_by_pivot()
-    projected = linalg.EchelonBasis(qb.echelon.width)
-    for c in block:
+    projected = linalg.EchelonBasis(qb.echelon.width, low)
+    for c in shifted:
         row = by_pivot.get(c)
         if row is not None:
-            projected.insert(row & bmask)
+            projected.insert_shifted(row & bmask)
     return _make_quotient(q, n, projected, block, omega)
 
 

@@ -143,6 +143,7 @@ def admissible_basis(s: int, n: int) -> tuple:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
 def _index_map(s: int, n: int) -> dict:
     return {w: k for k, w in enumerate(admissible_basis(s, n))}
 

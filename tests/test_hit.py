@@ -27,8 +27,8 @@ def test_frozen_oracle_table_is_live():
 
 
 def test_engines_agree_on_pivots():
-    # equal pivots mean the seeded singletons (monomials below the minimal
-    # spike's weight) all lie in the hit span of the full engine
+    # equal pivots mean the monomials of the seeded unit block (those below
+    # the minimal spike's weight) all lie in the hit span of the full engine
     cases = [(2, 6), (2, 7), (2, 8), (2, 14), (2, 15), (3, 41), (4, 41)]
     cases += [(q, n) for q in (3, 4) for n in range(41)
               if poly.minimal_spike(q, n) is not None]
@@ -39,17 +39,20 @@ def test_engines_agree_on_pivots():
 
 
 def _reference_stream(q, n, floor):
-    """Sq^{2^i}(m) by poly.sq_monomial, masked to weights >= floor, zeros dropped."""
+    """Sq^{2^i}(m) by poly.sq_monomial, masked to weights >= floor, zeros
+    dropped, shifted down by the number of coordinates below floor."""
     uni = poly.monomials(q, n)
     keep = linalg.from_support(
         c for c, m in enumerate(uni) if poly.weight_of(m) >= floor)
+    low = len(uni) - keep.bit_count()
+    assert keep >> low == (1 << (len(uni) - low)) - 1  # the kept are a suffix
     out = []
     i = 0
     while (1 << i) <= n:
         for m in poly.monomials(q, n - (1 << i)):
             v = hit.vectorize(poly.sq_monomial(1 << i, m), q, n) & keep
             if v:
-                out.append(v)
+                out.append(v >> low)
         i += 1
     return out
 
@@ -161,6 +164,43 @@ def test_weight_block_reduces_inside_its_filtration():
         block.reduce_vec(frozenset({(3, 3, 3, 0)}))  # weight (3,3)
 
 
+def test_weight_blocks_below_the_floor_vanish():
+    # they lie inside the seeded unit block: every coordinate is a pivot
+    for q, n in ((4, 9), (4, 12), (3, 10)):
+        qb = hit.quotient_basis(q, n)
+        low = qb.echelon.low
+        floor = poly.weight_of(poly.minimal_spike(q, n))
+        below = [om for om in hit.enumerate_weights(q, n) if om < floor]
+        assert below and low > 0, (q, n)
+        table = hit.weight_dimensions(qb)
+        for om in below:
+            block = hit.weight_quotient(q, n, om)
+            assert block.dim == table[om] == 0, (q, n, om)
+            assert oracles.weight_block_dimension(q, n, om) == 0, (q, n, om)
+
+
+def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    q, n = 4, 45
+    uni = poly.monomials(q, n)
+    floor = poly.weight_of(poly.minimal_spike(q, n))
+    low = sum(poly.weight_of(m) < floor for m in uni)
+    fresh = hit.quotient_basis(q, n).echelon
+    loaded = hit._load_cached(q, n).echelon
+    for eb in (fresh, loaded):
+        assert (eb.low, eb.width) == (low, len(uni))
+        rows = eb.rows_by_pivot()
+        # stored rows are shifted: none reaches below low or past the width
+        assert all(0 <= p and r.bit_length() == p + 1 <= eb.width - low
+                   for p, r in rows.items())
+        assert eb.rank == low + len(rows)
+        assert eb.pivots()[:low] == list(range(low))
+    assert loaded.rows_by_pivot() == fresh.rows_by_pivot()
+    meta, rows = _split(hit._cache_path(q, n).read_bytes())
+    assert (meta["low"], meta["rank"]) == (low, fresh.rank)
+    assert len(rows) == fresh.rank - low
+
+
 def test_weight_quotient_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         hit.weight_quotient(4, 9, (1, 1))
@@ -169,7 +209,7 @@ def test_weight_quotient_rejects_degree_mismatch():
 def test_cache_round_trip():
     qb = hit.quotient_basis(3, 7)
     files = list(hit.cache_dir().glob("hit-q3-n7*"))
-    assert len(files) == 1 and "v2" in files[0].name, files
+    assert len(files) == 1 and "v3" in files[0].name, files
     hit._QCACHE.pop((hit.cache_dir(), 3, 7))
     loaded = hit.quotient_basis(3, 7)
     assert loaded is not qb
@@ -180,14 +220,14 @@ def test_cache_round_trip():
 
 
 def _split(data: bytes) -> tuple:
-    """A v2 cache file as (header dict, rows as coordinate lists)."""
+    """A v3 cache file as (header dict, rows as coordinate lists)."""
     head, _, payload = data.partition(b"\n")
     rows = [[int(t) for t in line.split()] for line in payload.splitlines()]
     return json.loads(head), rows
 
 
 def _join(meta: dict, rows: list) -> bytes:
-    """A v2 cache file with the given header and rows, CRC recomputed."""
+    """A v3 cache file with the given header and rows, CRC recomputed."""
     payload = b"".join(" ".join(map(str, r)).encode() + b"\n" for r in rows)
     meta = dict(meta, crc32=zlib.crc32(payload))
     return json.dumps(meta, sort_keys=True).encode() + b"\n" + payload
@@ -251,6 +291,24 @@ def _stale_v1_pair(path, data):
     path.unlink()
 
 
+def _stale_v2(meta, rows):
+    """The v2 layout of a v3 file: unit block written out, rows unshifted."""
+    low = meta.pop("low")
+    rows = [[c] for c in range(low)] + [[c + low for c in r] for r in rows]
+    return _join(dict(meta, version=2), rows)
+
+
+def _stale_v2_file(path, data):
+    # a v2 file, valid by its own rules, where the v2 layout kept it
+    path.with_name(path.name.replace("-v3.", "-v2.")).write_bytes(
+        _stale_v2(*_split(data)))
+    path.unlink()
+
+
+def _stale_v2_in_place(path, data):
+    path.write_bytes(_stale_v2(*_split(data)))
+
+
 def _header_end(data):
     return data.index(b"\n")
 
@@ -266,18 +324,21 @@ DAMAGE = {
         _flip(d, (_header_end(d) + len(d)) // 2)),
     "flip-header-byte": _flip_width_digit,
     "wrong-version": _edit_header(lambda m: m.update(version=1)),
+    "wrong-low": _edit_header(lambda m: m.update(low=m["low"] - 1)),
     "no-rank-key": _edit_header(lambda m: m.pop("rank")),
     "wrong-dim": _edit_header(lambda m: m.update(dim=m["dim"] + 1)),
     "header-not-an-object": lambda p, d: p.write_bytes(
         b"[]\n" + d.partition(b"\n")[2]),
-    "coordinate-past-width": _edit_rows(
-        lambda m, rows: rows[:-1] + [rows[-1][:-1] + [m["width"]]]),
+    "coordinate-past-width": _edit_rows(  # past the shifted width
+        lambda m, rows: rows[:-1] + [rows[-1][:-1] + [m["width"] - m["low"]]]),
     "row-missing": _edit_rows(lambda m, rows: rows[:-1]),
     "row-empty": _edit_rows(lambda m, rows: [[]] + rows[1:]),
     "coordinate-repeated": _edit_rows(
         lambda m, rows: rows[:-1] + [[rows[-1][0]] + rows[-1]]),
     "repeated-pivot": _edit_rows(_repeated_pivot),
     "stale-v1-pair": _stale_v1_pair,
+    "stale-v2-file": _stale_v2_file,
+    "stale-v2-in-place": _stale_v2_in_place,
 }
 
 
@@ -293,7 +354,7 @@ def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
     assert hit._load_cached(q, n) is None
     hit._QCACHE.pop((hit.cache_dir(), q, n))
     assert hit.quotient_basis(q, n).echelon.pivots() == fresh
-    # the rebuild rewrote a good file, and only the v2 file is read
+    # the rebuild rewrote a good file, and only the v3 file is read
     assert hit._load_cached(q, n).echelon.pivots() == fresh
 
 
