@@ -12,15 +12,18 @@ generator stream is projected onto the surviving coordinates [low, width),
 shifted down by low.  Where no spike exists (mu(n) > q) every monomial is hit
 (Wood) and low is the width; the full engine has low = 0.
 
-The stream builds no term that the projection would drop by its first weight
-entry omega_1, the number of odd exponents.  A Cartan term of Sq^t(m) adds
-a submask t_j of each exponent a_j, and an odd t_j makes a_j + t_j even, so
-the term has omega_1(m) minus the number of odd t_j.  Weights compare
-left-lexicographically, so a term with omega_1 below the spike's is seeded:
-a source m may spend at most omega_1(m) - omega_1(spike) odd parts, and is
-skipped when it cannot (Sq^1 always spends one).  The vectors inserted, and
-their order, are those of the plain Sq^{2^i}(m) images projected, shifted
-and with zeros dropped, so the prune changes no stored echelon row.
+The stream is built from the kept coordinates, not from the sources.  A
+Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
+monomial u lies in Sq^{2^i}(m) exactly when m_j = u_j - t_j with
+binom2(u_j - t_j, t_j) odd and sum t_j = 2^i (the rule of the right action
+in :mod:`dual`).  Each source (i, m) found this way collects the bits of
+its kept terms, and the sources are sorted by one int key: i, then the
+packed weight of m (``poly.weight_key`` with n's bit length, which orders
+every degree <= n as that degree's own key does), then m's exponents
+left-lexicographically.  That is the order of ``poly.monomials(q, n - 2^i)``
+for each i in turn, so the vectors inserted, and their order, are those of
+the plain Sq^{2^i}(m) images projected, shifted and with zeros dropped, and
+no source-degree universe is built.
 
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega; a block's relations are the shared elimination's rows
@@ -48,7 +51,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from operator import mul
 from pathlib import Path
 from typing import Iterable
 
@@ -148,40 +150,33 @@ def _generator_stream(q: int, n: int, floor: WeightVector = ()):
     projected onto the coordinates whose weight is at least `floor` and
     shifted down by the number of coordinates below it.
 
-    Terms with omega_1 below floor[0] are never built (see the module
-    docstring); the others are base-(n+1) int keys looked up in one dict of
-    the kept coordinates.
+    Built from the kept coordinates u (see the module docstring): every
+    source (i, m) with u in Sq^{2^i}(m) gets bit c(u), under an int key that
+    sorts the sources in stream order.
     """
-    places = [(n + 1) ** (q - 1 - j) for j in range(q)]
     kept = _universe(q, n)[_low(q, n, floor):]
-    coord = {sum(map(mul, m, places)): c for c, m in enumerate(kept)}
-    w1 = floor[0] if floor else 0
-    submasks = [[s for s in range(a + 1) if s & a == s] for a in range(n + 1)]
-    odd = (1).__and__
-    i = 0
-    while (1 << i) <= n:
-        t = 1 << i
-        for m in _universe(q, n - t):
-            budget = sum(map(odd, m)) - w1
-            if budget < (i == 0):
-                continue
-            # (still to distribute, key so far, odd parts left) per partial split
-            splits = [(t, sum(map(mul, m, places)), budget)]
-            for a, place in zip(m[:-1], places):
-                splits = [(rest - s, key + s * place, spare - (s & 1))
-                          for rest, key, spare in splits
-                          for s in submasks[a]
-                          if s <= rest and (s & 1) <= spare]
-            last = m[-1]
-            v = 0
-            for rest, key, spare in splits:
-                if rest & last == rest and (rest & 1) <= spare:
-                    c = coord.get(key + rest)
-                    if c is not None:
-                        v ^= 1 << c
-            if v:
-                yield v
-        i += 1
+    top = n.bit_length()
+    lex = (n + 1) ** q
+    wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
+    # per place j and exponent a: (t_j, key share of m_j = a - t_j) for every
+    # t_j with binom2(a - t_j, t_j) odd
+    shares = [[[(t, wkey((a - t,)) * lex + (a - t) * (n + 1) ** (q - 1 - j))
+                for t in range(a // 2 + 1) if (a - t) & t == t]
+               for a in range(n + 1)] for j in range(q)]
+    tmax = 1 << top >> 1  # the largest 2^i <= n
+    per_i = (q + 1) ** top * lex  # weight keys stay below (q+1)^top
+    sources: dict = {}
+    for c, u in enumerate(kept):
+        splits = [(0, 0)]  # (t so far, key so far) per partial source
+        for table, a in zip(shares, u):
+            splits = [(t + s, key + share) for t, key in splits
+                      for s, share in table[a] if t + s <= tmax]
+        for t, key in splits:
+            if t and not t & (t - 1):
+                key += (t.bit_length() - 1) * per_i
+                sources.setdefault(key, []).append(c)
+    for key in sorted(sources):
+        yield linalg.from_support(sources[key])
 
 
 def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:

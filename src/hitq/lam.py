@@ -106,10 +106,6 @@ def differential(e: Iterable[Word]) -> Element:
     return normalize(raw)
 
 
-def is_cycle(e: Iterable[Word]) -> bool:
-    return not differential(e)
-
-
 def theta(e: Iterable[Word]) -> Element:
     """The endomorphism lambda_n -> lambda_{2n+1}, applied letterwise."""
     return normalize([tuple(2 * i + 1 for i in w) for w in e])
@@ -317,24 +313,6 @@ def to_display(e: Element) -> list:
     return sorted([list(reversed(w)) for w in e])
 
 
-def format_element(e: Element) -> str:
-    """Human-readable rendering, display letter order."""
-    if not e:
-        return "0"
-    chunks = []
-    for w in to_display(e):
-        parts = []
-        for i in w:
-            if parts and parts[-1][0] == i:
-                parts[-1][1] += 1
-            else:
-                parts.append([i, 1])
-        chunks.append(
-            "".join(f"l_{i}" if k == 1 else f"l_{i}^{k}" for i, k in parts)
-        )
-    return " + ".join(chunks)
-
-
 __all__ = [
     "Word",
     "Element",
@@ -345,7 +323,6 @@ __all__ = [
     "normalize",
     "multiply",
     "differential",
-    "is_cycle",
     "theta",
     "admissible_basis",
     "classes_equal",
@@ -353,5 +330,4 @@ __all__ = [
     "identify_class",
     "from_display",
     "to_display",
-    "format_element",
 ]

@@ -226,12 +226,20 @@ def _expand_power(targets: tuple, a: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _substitution_targets(g: tuple) -> tuple:
+    """Per row i of g, the j with g[i][j] odd; ValueError unless g is
+    invertible over GF(2).  Cached, so a matrix is checked once."""
+    rows = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in g]
+    if rank(rows, len(g)) != len(g):
+        raise ValueError("substitution matrix is singular")
+    return tuple(tuple(j for j in range(len(g)) if r >> j & 1) for r in rows)
+
+
 def linear_substitute(g, f: Polynomial) -> Polynomial:
     """Apply the algebra map x_i -> sum_j g[i][j] x_j to f (g invertible)."""
-    g = [tuple(int(x) & 1 for x in row) for row in g]
-    q = len(g)
-    if rank((sum(x << j for j, x in enumerate(row)) for row in g), q) != q:
-        raise ValueError("substitution matrix is singular")
+    targets_of = _substitution_targets(tuple(map(tuple, g)))
+    q = len(targets_of)
     out: list = []
     for mon in f:
         if len(mon) != q:
@@ -240,7 +248,7 @@ def linear_substitute(g, f: Polynomial) -> Polynomial:
         for i, a in enumerate(mon):
             if a == 0:
                 continue
-            targets = tuple(j for j in range(q) if g[i][j])
+            targets = targets_of[i]
             expansion = _expand_power(targets, a)
             new_terms = []
             for base in terms:

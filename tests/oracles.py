@@ -4,8 +4,9 @@ Everything here is written from first principles with stdlib tools only:
 naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
 elimination over lexicographically ordered monomials, a batch
 all-generators hit-space construction, the literal subspace-intersection
-route to the weight blocks, and the primitives as the common kernel of the
-dual Sq^{2^i} functionals.  Nothing imports hitq.
+route to the weight blocks, the primitives as the common kernel of the
+dual Sq^{2^i} functionals, and a text rendering of lambda elements.
+Nothing imports hitq.
 """
 
 from __future__ import annotations
@@ -233,10 +234,21 @@ def weight_block_dimension(q: int, n: int, omega: tuple) -> int:
     return bin(exact).count("1") - rank2([row & exact for row in inter])
 
 
+def format_element(e) -> str:
+    """A lambda element (words stored mirrored) as text in display letter
+    order, words sorted, each run of a letter as one power: l_1l_3^2l_2."""
+    chunks = []
+    for w in sorted(list(reversed(w)) for w in e):
+        runs = [(i, len(list(g))) for i, g in itertools.groupby(w)]
+        chunks.append("".join(f"l_{i}" if k == 1 else f"l_{i}^{k}" for i, k in runs))
+    return " + ".join(chunks) or "0"
+
+
 __all__ = [
     "all_monomials",
     "comb2",
     "dual_sq",
+    "format_element",
     "hit_dimension",
     "hit_generators",
     "hit_membership",

@@ -58,17 +58,24 @@ def _reference_stream(q, n, floor):
 
 
 def test_generator_stream_is_exact():
-    # the omega_1 prune and the keyed Cartan enumeration drop exactly the
-    # masked terms: same vectors, same order as the naive route
-    for q, top in ((2, 60), (3, 40), (4, 30), (5, 18)):
-        for n in range(top + 1):
-            spike = poly.minimal_spike(q, n)
-            if spike is not None:
-                floor = poly.weight_of(spike)
-                got = list(hit._generator_stream(q, n, floor))
-                assert got == _reference_stream(q, n, floor), (q, n)
+    # the stream transposed onto the kept coordinates and sorted by source
+    # key: same vectors, same order as the naive route
+    cases = [(q, n) for q, top in ((2, 60), (3, 40), (4, 30), (5, 18))
+             for n in range(top + 1)]
+    for q, n in cases + [(4, 45), (5, 24)]:  # plus two cold-basis degrees
+        spike = poly.minimal_spike(q, n)
+        if spike is not None:
+            floor = poly.weight_of(spike)
+            got = list(hit._generator_stream(q, n, floor))
+            assert got == _reference_stream(q, n, floor), (q, n)
     for q, n in ((1, 7), (2, 5), (3, 9), (4, 12)):  # the full engine's stream
         assert list(hit._generator_stream(q, n)) == _reference_stream(q, n, ())
+
+
+def test_hit_subspace_builds_no_source_universe():
+    poly.monomials.cache_clear()
+    hit.hit_subspace(4, 45)
+    assert poly.monomials.cache_info().currsize == 1  # the degree-45 one
 
 
 def test_wood_engine_where_every_monomial_is_hit():
