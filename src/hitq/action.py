@@ -22,11 +22,13 @@ def sigma_generators(q: int) -> list:
 
 
 def gl_generators(q: int) -> list:
-    """The transpositions plus the transvection x_1 -> x_1 + x_2."""
+    """The transpositions plus the transvection x_1 -> x_1 + x_2; none for
+    q = 1, where GL_1(F_2) is trivial."""
     out = sigma_generators(q)
-    g = [[1 if r == c else 0 for c in range(q)] for r in range(q)]
-    g[0][1] = 1
-    out.append(g)
+    if q >= 2:
+        g = [[1 if r == c else 0 for c in range(q)] for r in range(q)]
+        g[0][1] = 1
+        out.append(g)
     return out
 
 

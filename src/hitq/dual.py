@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import action, hit, linalg
-from .poly import Polynomial, binom2, monomials
+from .poly import Polynomial, binom2
 
 DividedMonomial = tuple  # tuple[int, ...]
 DualElement = frozenset  # frozenset[DividedMonomial]
@@ -82,7 +82,7 @@ def _annihilator(echelon: linalg.EchelonBasis, q: int, n: int) -> tuple:
     They vanish on the echelon's unit block, so the kernel is taken over the
     stored rows' shifted coordinates alone.
     """
-    src = monomials(q, n)[echelon.low:]
+    src = hit.kept_monomials(q, n, echelon.low)
     return tuple(
         frozenset(src[c] for c in linalg.support(v))
         for v in linalg.kernel_basis(echelon.rows(),

@@ -5,12 +5,19 @@ the coordinates of one big GF(2) elimination; the greatest monomial of a hit
 element is its pivot, and the non-pivot monomials represent the quotient
 basis.  Wherever a minimal spike exists the elimination is seeded: every
 monomial whose weight is below the minimal spike's weight is certainly hit
-(Singer's criterion).  The universe is sorted by weight, so those monomials
-are a prefix [0, low) of the coordinates: the echelon holds them as an
-implicit unit block (see :class:`linalg.EchelonBasis`), and the Sq^{2^i}
-generator stream is projected onto the surviving coordinates [low, width),
-shifted down by low.  Where no spike exists (mu(n) > q) every monomial is hit
-(Wood) and low is the width; the full engine has low = 0.
+(Singer's criterion).  The coordinates are weight blocks in ascending
+weight, each block's monomials left-lex, so those monomials are a prefix
+[0, low) of the coordinates: the echelon holds them as an implicit unit
+block (see :class:`linalg.EchelonBasis`), and the Sq^{2^i} generator stream
+is projected onto the surviving coordinates [low, width), shifted down by
+low.  Where no spike exists (mu(n) > q) every monomial is hit (Wood) and low
+is the width; the full engine has low = 0.
+
+Only the block table (omega, start, end) is computed for every weight, its
+sizes prod_j C(q, omega_j) by binomials; monomials are listed only for the
+blocks from low up (:func:`kept_monomials`), so the unit block is never
+enumerated.  A term that :meth:`QuotientBasis.reduce_vec` meets below low
+is hit, and it is dropped as the echelon drops bits below low.
 
 The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
@@ -20,7 +27,7 @@ in :mod:`dual`).  Each source (i, m) found this way collects the bits of
 its kept terms, and the sources are sorted by one int key: i, then the
 packed weight of m (``poly.weight_key`` with n's bit length, which orders
 every degree <= n as that degree's own key does), then m's exponents
-left-lexicographically.  That is the order of ``poly.monomials(q, n - 2^i)``
+left-lexicographically.  That is the coordinate order of degree n - 2^i
 for each i in turn, so the vectors inserted, and their order, are those of
 the plain Sq^{2^i}(m) images projected, shifted and with zeros dropped, and
 no source-degree universe is built.
@@ -47,12 +54,11 @@ import os
 import tempfile
 import zlib
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
 
 from . import linalg, poly
 from .poly import Polynomial, WeightVector
@@ -96,44 +102,37 @@ class HitSubspace:
     echelon: linalg.EchelonBasis
 
 
-def _universe(q: int, n: int) -> tuple:
-    return poly.monomials(q, n)
-
-
 @lru_cache(maxsize=None)
-def _index(q: int, n: int) -> dict:
-    return {m: k for k, m in enumerate(_universe(q, n))}
-
-
-@lru_cache(maxsize=None)
-def _weights(q: int, n: int) -> tuple:
-    """Weight vector of each degree-n monomial; equal vectors share a tuple."""
-    out: list = []
-    # the universe is sorted by weight, so equal weights are consecutive
-    for _, run in groupby(_universe(q, n), poly.weight_key(q, n)):
-        run = list(run)
-        out += [poly.weight_of(run[0])] * len(run)
+def _blocks(q: int, n: int) -> tuple:
+    """The degree-n coordinates as weight blocks (omega, start, end), ascending."""
+    out = []
+    start = 0
+    for omega in poly.weight_vectors(q, n):
+        end = start + poly.block_size(q, omega)
+        out.append((omega, start, end))
+        start = end
     return tuple(out)
 
 
-def vectorize(f: Polynomial, q: int, n: int) -> int:
-    idx = _index(q, n)
-    v = 0
-    for m in f:
-        if m not in idx:
-            raise ValueError(f"term {m} is not a degree-{n} monomial in {q} variables")
-        v ^= 1 << idx[m]
-    return v
+def _width(q: int, n: int) -> int:
+    return _blocks(q, n)[-1][2]
 
 
-def unvectorize(v: int, q: int, n: int) -> Polynomial:
-    uni = _universe(q, n)
-    return frozenset(uni[c] for c in linalg.support(v))
+def _block(q: int, n: int, omega: WeightVector) -> tuple:
+    """(start, end) of the weight-omega coordinates; empty if none has it."""
+    blocks = _blocks(q, n)
+    k = bisect_left(blocks, omega, key=itemgetter(0))
+    if k < len(blocks) and blocks[k][0] == omega:
+        return blocks[k][1:]
+    return 0, 0
 
 
 def _low(q: int, n: int, floor: WeightVector) -> int:
-    """Number of degree-n monomials whose weight is below `floor`: a prefix."""
-    return bisect_left(_universe(q, n), floor, key=poly.weight_of)
+    """Number of degree-n monomials whose weight is below `floor`: a prefix
+    ending where the first block at or above `floor` starts."""
+    blocks = _blocks(q, n)
+    k = bisect_left(blocks, floor, key=itemgetter(0))
+    return blocks[k][1] if k < len(blocks) else _width(q, n)
 
 
 def _auto_low(q: int, n: int) -> int:
@@ -141,8 +140,22 @@ def _auto_low(q: int, n: int) -> int:
     weight, or all of them when there is no spike."""
     spike = poly.minimal_spike(q, n)
     if spike is None:
-        return len(_universe(q, n))
+        return _width(q, n)
     return _low(q, n, poly.weight_of(spike))
+
+
+@lru_cache(maxsize=None)
+def kept_monomials(q: int, n: int, low: int) -> tuple:
+    """The monomials at the coordinates [low, width); low starts a block."""
+    return tuple(chain.from_iterable(
+        poly.block_monomials(q, omega)
+        for omega, start, _ in _blocks(q, n) if start >= low))
+
+
+@lru_cache(maxsize=None)
+def _kept_index(q: int, n: int, low: int) -> dict:
+    """Monomial -> shifted coordinate (its position in kept_monomials)."""
+    return {m: k for k, m in enumerate(kept_monomials(q, n, low))}
 
 
 def _generator_stream(q: int, n: int, floor: WeightVector = ()):
@@ -154,7 +167,7 @@ def _generator_stream(q: int, n: int, floor: WeightVector = ()):
     source (i, m) with u in Sq^{2^i}(m) gets bit c(u), under an int key that
     sorts the sources in stream order.
     """
-    kept = _universe(q, n)[_low(q, n, floor):]
+    kept = kept_monomials(q, n, _low(q, n, floor))
     top = n.bit_length()
     lex = (n + 1) ** q
     wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
@@ -183,7 +196,7 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
     """Span of the Sq^{2^i} images in degree n (equals Abar(P_q)_n)."""
     if n < 0:
         raise ValueError(f"degree {n} is negative")
-    width = len(_universe(q, n))
+    width = _width(q, n)
     if engine == "auto":
         engine = "wood" if poly.mu(n) > q else "seeded"
     if engine == "wood":
@@ -230,14 +243,26 @@ class QuotientBasis:
     def reduce_vec(self, f: Polynomial) -> int:
         """Coordinates of [f] over the admissible basis; zero iff f is a relation.
 
-        In a weight block, lower-weight terms die and higher ones raise.
+        A term below the unit block's weight is hit and dies; a term that is
+        not a degree-n monomial in q variables raises.  In a weight block,
+        lower-weight terms die and higher ones raise.
         """
+        q, n, low = self.q, self.n, self.echelon.low
         if self.omega is not None:
             high = next((m for m in f if poly.weight_of(m) > self.omega), None)
             if high is not None:
                 raise ValueError(f"term {high} has weight above {self.omega}")
             f = [m for m in f if poly.weight_of(m) == self.omega]
-        v = self.echelon.reduce(vectorize(f, self.q, self.n))
+        idx = _kept_index(q, n, low)
+        v = 0
+        for m in f:
+            k = idx.get(m)
+            if k is not None:
+                v ^= 1 << k
+            elif len(m) != q or sum(m) != n or min(m, default=0) < 0:
+                raise ValueError(
+                    f"term {m} is not a degree-{n} monomial in {q} variables")
+        v = self.echelon.reduce(v << low) >> low
         out = 0
         for c in linalg.support(v):
             out |= 1 << self._coord_to_pos[c]
@@ -248,13 +273,20 @@ class QuotientBasis:
 
 
 def _make_quotient(q: int, n: int, echelon: linalg.EchelonBasis,
-                   coords: Iterable[int], omega=None) -> QuotientBasis:
-    """The quotient of span{e_c : c in coords} by the echelon's row space."""
-    uni = _universe(q, n)
-    pivots = set(echelon.pivots())
-    free = [c for c in coords if c not in pivots]
+                   start: int, end: int, omega=None) -> QuotientBasis:
+    """The quotient of span{e_c : start <= c < end} by the echelon's row space.
+
+    Coordinates below the unit block's end are pivots, so only the stored
+    pivots are scanned, over shifted coordinates; ``_coord_to_pos`` is keyed
+    by those.
+    """
+    low = echelon.low
+    kept = kept_monomials(q, n, low)
+    stored = echelon.rows_by_pivot()
+    free = [c for c in range(max(start, low) - low, max(end, low) - low)
+            if c not in stored]
     pos = {c: k for k, c in enumerate(free)}
-    return QuotientBasis(q, n, tuple(uni[c] for c in free), echelon, omega, pos)
+    return QuotientBasis(q, n, tuple(kept[c] for c in free), echelon, omega, pos)
 
 
 _QCACHE: dict = {}
@@ -271,7 +303,7 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
     qb = cached_quotient(q, n)
     if qb is None:
         hs = hit_subspace(q, n)
-        qb = _make_quotient(q, n, hs.echelon, range(hs.echelon.width))
+        qb = _make_quotient(q, n, hs.echelon, 0, hs.echelon.width)
         _save_cached(qb)
     _QCACHE[(cache_dir(), q, n)] = qb
     return qb
@@ -299,7 +331,7 @@ def _save_cached(qb: QuotientBasis) -> None:
 
 def _load_cached(q: int, n: int):
     """The cached Q^q_n, or None when the file is missing or fails a check."""
-    width = len(_universe(q, n))
+    width = _width(q, n)
     try:
         head, _, payload = _cache_path(q, n).read_bytes().partition(b"\n")
         meta = json.loads(head)
@@ -319,7 +351,7 @@ def _load_cached(q: int, n: int):
             if (v.bit_count() != len(coords)
                     or basis.insert_shifted(v) != (True, v)):
                 return None
-        qb = _make_quotient(q, n, basis, range(width))
+        qb = _make_quotient(q, n, basis, 0, width)
         return qb if qb.dim == meta["dim"] else None
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -329,7 +361,7 @@ def _load_cached(q: int, n: int):
 
 def enumerate_weights(q: int, n: int) -> list:
     """All weight vectors realized by degree-n monomials, ascending."""
-    return sorted(set(_weights(q, n)))
+    return [omega for omega, _, _ in _blocks(q, n)]
 
 
 def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
@@ -343,10 +375,10 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     if poly.weight_degree(omega) != n:
         raise ValueError(f"deg{omega} != {n}")
     qb = quotient_basis(q, n)
-    block = [c for c, w in enumerate(_weights(q, n)) if w == omega]
+    start, end = _block(q, n, omega)
     # a block below the spike's weight lies inside the unit block: dim 0
     low = qb.echelon.low
-    shifted = [c - low for c in block if c >= low]
+    shifted = range(max(start, low) - low, max(end, low) - low)
     bmask = linalg.from_support(shifted)
     by_pivot = qb.echelon.rows_by_pivot()
     projected = linalg.EchelonBasis(qb.echelon.width, low)
@@ -354,15 +386,22 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
         row = by_pivot.get(c)
         if row is not None:
             projected.insert_shifted(row & bmask)
-    return _make_quotient(q, n, projected, block, omega)
+    return _make_quotient(q, n, projected, start, end, omega)
 
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
-    """dim (Q^q_n)^omega for every realized omega, from the pivot weights."""
-    weights = _weights(qb.q, qb.n)
-    total = Counter(weights)
-    total.subtract(weights[c] for c in qb.echelon.pivots())
-    return dict(sorted(total.items()))
+    """dim (Q^q_n)^omega for every realized omega, from the pivot weights.
+
+    A block's dim is its size less the stored pivots inside it; blocks in
+    the unit block have dim 0.
+    """
+    low = qb.echelon.low
+    stored = sorted(qb.echelon.rows_by_pivot())
+    out = {}
+    for omega, start, end in _blocks(qb.q, qb.n):
+        lo, hi = max(start, low) - low, max(end, low) - low
+        out[omega] = hi - lo - (bisect_left(stored, hi) - bisect_left(stored, lo))
+    return out
 
 
 # --- Kameko kernel ----------------------------------------------------------------
@@ -389,8 +428,7 @@ __all__ = [
     "HitSubspace",
     "QuotientBasis",
     "cache_dir",
-    "vectorize",
-    "unvectorize",
+    "kept_monomials",
     "hit_subspace",
     "cached_quotient",
     "quotient_basis",

@@ -8,8 +8,9 @@ ints suffice everywhere.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable
 
 from .linalg import rank, xor_terms
@@ -130,12 +131,13 @@ def order_key(m: Monomial):
 
 
 def weight_key(q: int, n: int):
-    """Int sort key on degree-n monomials in q variables, ordered as their weights.
+    """Int sort key on monomials of degree <= n in q variables, ordered as their weights.
 
-    Bit b of an exponent adds (q+1)^(L-1-b), L = n.bit_length(): summed over
-    the q exponents each digit is a weight entry (at most q), so the key packs
-    the weight vector with omega_1 most significant, and equal keys mean
-    equal weights.
+    The key of the hit engine's Sq^{2^i} source stream.  Bit b of an
+    exponent adds (q+1)^(L-1-b), L = n.bit_length(): summed over the q
+    exponents each digit is a weight entry (at most q), so the key packs the
+    weight vector with omega_1 most significant, and equal keys mean equal
+    weights.
     """
     top = n.bit_length()
     packed = [sum((q + 1) ** (top - 1 - b) for b in range(top) if a >> b & 1)
@@ -143,23 +145,58 @@ def weight_key(q: int, n: int):
     return lambda m: sum(map(packed.__getitem__, m))
 
 
+def weight_vectors(q: int, n: int) -> list:
+    """The weight vectors of the degree-n monomials in q variables, ascending.
+
+    Those are the omega with deg(omega) = n, every entry at most q and the
+    last one nonzero; entry j is fixed mod 2 by what the lower entries leave.
+    """
+    if q < 1 or n < 0:
+        raise ValueError(f"weight_vectors({q}, {n}): need q >= 1 and n >= 0")
+    out: list = []
+
+    def walk(rest: int, acc: list):
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        for w in range(rest & 1, min(q, rest) + 1, 2):
+            acc.append(w)
+            walk((rest - w) >> 1, acc)
+            acc.pop()
+
+    # ascending choices give ascending vectors: no weight vector of degree n
+    # is a prefix of another
+    walk(n, [])
+    return out
+
+
+def block_size(q: int, omega: WeightVector) -> int:
+    """Number of monomials of weight omega in q variables: prod_j C(q, omega_j)."""
+    return math.prod(math.comb(q, w) for w in omega)
+
+
+def block_monomials(q: int, omega: WeightVector) -> list:
+    """The monomials of weight omega in q variables, ascending left-lex.
+
+    Bit j of the exponents is set on some omega_j of the q variables.  A
+    monomial is built as one int whose base-(n+1) digit i is exponent i,
+    digit 0 most significant, so the int order is the left-lex order.
+    """
+    base = weight_degree(omega) + 1
+    places = [base ** (q - 1 - i) for i in range(q)]
+    codes = [0]
+    for j, w in enumerate(omega):
+        shares = [sum(c) << j for c in combinations(places, w)]
+        codes = [c + s for c in codes for s in shares]
+    codes.sort()
+    return list(zip(*[[c // p % base for c in codes] for p in places]))
+
+
 @lru_cache(maxsize=None)
 def monomials(q: int, n: int) -> tuple:
     """All degree-n monomials in q variables, ascending in the monomial order."""
-    if q < 1 or n < 0:
-        raise ValueError(f"monomials({q}, {n}): need q >= 1 and n >= 0")
-
-    def gen(vars_left: int, rest: int):
-        if vars_left == 1:
-            yield (rest,)
-            return
-        for a in range(rest + 1):
-            for tail in gen(vars_left - 1, rest - a):
-                yield (a,) + tail
-
-    # gen yields exponents in left-lex order, and the sort is stable, so
-    # sorting by weight alone realizes order_key
-    return tuple(sorted(gen(q, n), key=weight_key(q, n)))
+    return tuple(chain.from_iterable(
+        block_monomials(q, omega) for omega in weight_vectors(q, n)))
 
 
 def is_spike(m: Monomial) -> bool:
@@ -290,6 +327,9 @@ __all__ = [
     "weight_degree",
     "order_key",
     "weight_key",
+    "weight_vectors",
+    "block_size",
+    "block_monomials",
     "monomials",
     "is_spike",
     "minimal_spike",

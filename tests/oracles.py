@@ -49,6 +49,21 @@ def all_monomials(q: int, n: int) -> list:
     return sorted(out)
 
 
+def vectorize(f, index: dict) -> int:
+    """Bit vector of a set of monomials: bit index[m] for each term m."""
+    v = 0
+    for m in f:
+        if m not in index:
+            raise ValueError(f"term {m} is not in the coordinate index")
+        v ^= 1 << index[m]
+    return v
+
+
+def unvectorize(v: int, universe) -> frozenset:
+    """The monomials universe[k] at the set bits k of v."""
+    return frozenset(universe[k] for k in range(v.bit_length()) if v >> k & 1)
+
+
 def _eliminate(vectors: list) -> dict:
     """Row-reduce set-of-monomials vectors; returns pivot-monomial -> row."""
     pivots: dict = {}
@@ -258,6 +273,8 @@ __all__ = [
     "one_variable_dimension",
     "primitive_basis",
     "rank2",
+    "unvectorize",
+    "vectorize",
     "weight_block_dimension",
     "weight_vector",
 ]

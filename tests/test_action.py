@@ -28,6 +28,14 @@ def test_generator_shapes():
     assert gl[3][0] == [1, 1, 0, 0] or gl[3][0] == (1, 1, 0, 0)
 
 
+def test_gl1_is_trivial():
+    # GL_1(F_2) = 1: no generators, so every class of Q^1_n is invariant
+    assert action.gl_generators(1) == []
+    for n, want in ((1, 1), (2, 0), (3, 1), (7, 1)):
+        qb = hit.quotient_basis(1, n)
+        assert len(action.invariant_subspace(qb, action.gl_generators(1))) == want
+
+
 def test_group_generators_rejects_unknown_kind():
     with pytest.raises(ValueError):
         action.group_generators(4, "borel")

@@ -41,6 +41,14 @@ def test_transfer_text_example():
     assert r.exit_code == 0 and "Im Tr_4 = 0" in r.output
 
 
+def test_one_variable_commands():
+    # GL_1(F_2) is trivial: the gl group has no generators
+    r = _run("invariants", "--q", "1", "--n", "3", "--group", "gl")
+    assert r.exit_code == 0 and r.output.strip() == "(Q^1_3)^gl: dim = 1"
+    r = _run("transfer", "--q", "1", "--n", "1")
+    assert r.exit_code == 0 and "Im Tr_1 = ⟨h_1⟩" in r.output
+
+
 def test_basis_json_structure():
     r = _run("basis", "--q", "4", "--degrees", "9,10", "--format", "json")
     assert r.exit_code == 0

@@ -10,7 +10,7 @@ import pytest
 
 import fixtures
 import oracles
-from hitq import hit, linalg, poly
+from hitq import action, dual, hit, linalg, poly
 
 
 def test_dimensions_match_brute_force_oracle():
@@ -42,6 +42,7 @@ def _reference_stream(q, n, floor):
     """Sq^{2^i}(m) by poly.sq_monomial, masked to weights >= floor, zeros
     dropped, shifted down by the number of coordinates below floor."""
     uni = poly.monomials(q, n)
+    idx = {m: c for c, m in enumerate(uni)}
     keep = linalg.from_support(
         c for c, m in enumerate(uni) if poly.weight_of(m) >= floor)
     low = len(uni) - keep.bit_count()
@@ -50,7 +51,7 @@ def _reference_stream(q, n, floor):
     i = 0
     while (1 << i) <= n:
         for m in poly.monomials(q, n - (1 << i)):
-            v = hit.vectorize(poly.sq_monomial(1 << i, m), q, n) & keep
+            v = oracles.vectorize(poly.sq_monomial(1 << i, m), idx) & keep
             if v:
                 out.append(v >> low)
         i += 1
@@ -72,10 +73,23 @@ def test_generator_stream_is_exact():
         assert list(hit._generator_stream(q, n)) == _reference_stream(q, n, ())
 
 
-def test_hit_subspace_builds_no_source_universe():
+def test_hit_subspace_builds_no_source_universe(tmp_path, monkeypatch):
+    # neither a source degree's universe nor degree 45's own: only the
+    # monomials from the spike's weight up are listed
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    q, n = 4, 45
     poly.monomials.cache_clear()
-    hit.hit_subspace(4, 45)
-    assert poly.monomials.cache_info().currsize == 1  # the degree-45 one
+    hit.hit_subspace(q, n)
+    hit.quotient_basis(q, n)  # a cold build, then a warm load
+    hit._QCACHE.pop((hit.cache_dir(), q, n))
+    qb = hit.quotient_basis(q, n)
+    table = hit.weight_dimensions(qb)
+    hit.weight_quotient(q, n, max(table, key=table.get))
+    g = action.gl_generators(q)[-1]
+    for m in qb.admissible[:20]:
+        qb.reduce_vec(poly.linear_substitute(g, frozenset({m})))
+    dual.primitive_basis.__wrapped__(q, n)
+    assert poly.monomials.cache_info().currsize == 0
 
 
 def test_wood_engine_where_every_monomial_is_hit():
@@ -103,9 +117,10 @@ def test_hit_subspace_rejects_bad_input():
 def test_vectorize_round_trip():
     rng = random.Random(7)
     uni = poly.monomials(3, 8)
+    idx = {m: c for c, m in enumerate(uni)}
     for _ in range(20):
         f = frozenset(m for m in uni if rng.random() < 0.3)
-        assert hit.unvectorize(hit.vectorize(f, 3, 8), 3, 8) == f
+        assert oracles.unvectorize(oracles.vectorize(f, idx), uni) == f
 
 
 def test_hit_images_reduce_to_zero():
@@ -133,12 +148,48 @@ def test_singer_filter_only_flags_hit_monomials():
                 assert oracles.hit_membership({m}, 2, n), (n, m)
 
 
+def _weight_runs(q, n):
+    """(omega, start, end) per run of equal weights over poly.monomials."""
+    out = []
+    for c, m in enumerate(poly.monomials(q, n)):
+        w = poly.weight_of(m)
+        if out and out[-1][0] == w:
+            out[-1][2] = c + 1
+        else:
+            out.append([w, c, c + 1])
+    return [tuple(run) for run in out]
+
+
 def test_enumerate_weights_is_exact():
     for q, n in ((3, 7), (4, 9), (4, 45), (5, 24)):
         ws = hit.enumerate_weights(q, n)
         assert ws == sorted({poly.weight_of(m) for m in poly.monomials(q, n)})
         assert all(poly.weight_degree(w) == n for w in ws)
-        assert hit._weights(q, n) == tuple(map(poly.weight_of, poly.monomials(q, n)))
+        assert list(hit._blocks(q, n)) == _weight_runs(q, n)
+
+
+def test_block_table_and_kept_monomials_are_exact():
+    # the counted blocks and the listed suffixes are those of the universe
+    cases = [(q, n) for q in range(1, 6) for n in range(31)]
+    cases += [(4, n) for n in range(31, 51)]
+    for q, n in cases:
+        uni = poly.monomials(q, n)
+        assert list(hit._blocks(q, n)) == _weight_runs(q, n), (q, n)
+        for low in {0, hit._auto_low(q, n), len(uni)}:
+            assert hit.kept_monomials(q, n, low) == uni[low:], (q, n, low)
+
+
+def test_reduce_vec_drops_hit_terms_and_rejects_non_monomials():
+    qb = hit.quotient_basis(4, 45)
+    low = qb.echelon.low
+    assert low > 0
+    below = poly.monomials(4, 45)[low - 1]  # the greatest unit-block monomial
+    assert qb.reduce_vec(frozenset({below})) == 0
+    m = qb.admissible[0]
+    assert qb.reduce_vec(frozenset({below, m})) == 1
+    for bad in ((1, 2, 42), (1, 2, 3, 39, 0), (1, 2, 3, 40), (-1, 2, 3, 41)):
+        with pytest.raises(ValueError):
+            qb.reduce_vec(frozenset({bad}))
 
 
 def test_weight_quotient_routes_agree():

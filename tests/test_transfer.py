@@ -96,3 +96,12 @@ def test_transfer_image_at_degree_45():
 
 def test_square_compatibility_of_transfer_and_doubling():
     assert transfer.sq0_compat_check(4, 9)
+
+
+def test_low_rank_transfers_name_the_hopf_classes():
+    # Tr_1 is an isomorphism onto the h_i; Tr_2 hits h_i^2 and h_1h_3
+    for q, n, want in ((1, 1, "h_1"), (1, 3, "h_2"), (1, 7, "h_3"),
+                       (1, 15, "h_4"), (2, 2, "h_1^2"), (2, 6, "h_2^2"),
+                       (2, 8, "h_1h_3")):
+        report = transfer.transfer_image_report(q, n)
+        assert report.image == (want,) and not report.unidentified, (q, n)
