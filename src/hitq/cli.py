@@ -33,14 +33,13 @@ def _degrees(opts: dict) -> tuple:
         raise click.UsageError("--jobs must be at least 0")
     if not degs:
         raise click.UsageError("no degrees given")
-    limit = opts["long_threshold"]
     for d in degs:
         if d < 0:
             raise click.UsageError(f"degree {d} is negative")
-        if d > limit and not opts["allow_long"]:
+        if d > LONG_THRESHOLD and not opts["allow_long"]:
             raise click.UsageError(
                 f"degree {d} exceeds the long-job threshold "
-                f"({limit}); rerun with --allow-long"
+                f"({LONG_THRESHOLD}); rerun with --allow-long"
             )
     return degs
 
@@ -71,10 +70,7 @@ def _common_options(f):
         click.option("--jobs", type=int, default=0, metavar="N",
                      help="parallel workers over degrees (0 = all cores)"),
         click.option("--allow-long", is_flag=True,
-                     help="permit degrees above the long-job threshold"),
-        click.option("--long-threshold", type=int, default=LONG_THRESHOLD,
-                     show_default=True,
-                     help="degree above which jobs are refused"),
+                     help=f"permit degrees above {LONG_THRESHOLD}"),
     ]
     for dec in reversed(decs):
         f = dec(f)

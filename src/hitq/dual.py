@@ -76,17 +76,18 @@ def is_primitive(e: Iterable[DividedMonomial]) -> bool:
     return True
 
 
-def _annihilator(echelon: linalg.EchelonBasis, q: int, n: int) -> tuple:
-    """Dual elements pairing to zero with every row of a degree-n echelon.
+def _annihilator(space) -> tuple:
+    """Dual elements pairing to zero with the hit part of a degree-n space.
 
-    They vanish on the echelon's unit block, so the kernel is taken over the
-    stored rows' shifted coordinates alone.
+    `space` is a :class:`hit.HitSubspace` or :class:`hit.QuotientBasis`.  The
+    elements vanish on its hit coordinates below low, so the kernel is taken
+    over its echelon's kept coordinates alone.
     """
-    src = hit.kept_monomials(q, n, echelon.low)
+    src = hit.kept_monomials(space.q, space.n, space.low)
+    echelon = space.echelon
     return tuple(
         frozenset(src[c] for c in linalg.support(v))
-        for v in linalg.kernel_basis(echelon.rows(),
-                                     echelon.width - echelon.low)
+        for v in linalg.kernel_basis(echelon.rows(), echelon.width)
     )
 
 
@@ -97,9 +98,8 @@ def primitive_basis(q: int, n: int) -> tuple:
     The rows are those of Q^q_n when it is in memory or on disk, else of a
     fresh elimination; no cache file is written.
     """
-    qb = hit.cached_quotient(q, n)
-    echelon = qb.echelon if qb is not None else hit.hit_subspace(q, n).echelon
-    return _annihilator(echelon, q, n)
+    space = hit.cached_quotient(q, n)
+    return _annihilator(space if space is not None else hit.hit_subspace(q, n))
 
 
 def pairing(e: Iterable[DividedMonomial], f: Polynomial) -> int:
@@ -119,7 +119,7 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
     invs = [space.poly_of_vec(v) for v in action.invariant_subspace(space, gens)]
     if not invs:
         return []
-    prims = _annihilator(space.echelon, q, n)
+    prims = _annihilator(space)
     # column k: bit b set when primitive k pairs to 1 with invariant b
     columns = [
         linalg.from_support(b for b, u in enumerate(invs) if pairing(p, u))

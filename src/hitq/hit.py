@@ -7,17 +7,18 @@ basis.  Wherever a minimal spike exists the elimination is seeded: every
 monomial whose weight is below the minimal spike's weight is certainly hit
 (Singer's criterion).  The coordinates are weight blocks in ascending
 weight, each block's monomials left-lex, so those monomials are a prefix
-[0, low) of the coordinates: the echelon holds them as an implicit unit
-block (see :class:`linalg.EchelonBasis`), and the Sq^{2^i} generator stream
-is projected onto the surviving coordinates [low, width), shifted down by
-low.  Where no spike exists (mu(n) > q) every monomial is hit (Wood) and low
-is the width; the full engine has low = 0.
+[0, low) of the coordinates, and they are never stored: a
+:class:`HitSubspace` or :class:`QuotientBasis` carries low, and its echelon
+is a plain one over the kept coordinates [low, width), coordinate c at bit
+c - low, onto which the Sq^{2^i} generator stream is projected.  Where no
+spike exists (mu(n) > q) every monomial is hit (Wood) and low is the width;
+the full engine has low = 0.
 
 Only the block table (omega, start, end) is computed for every weight, its
 sizes prod_j C(q, omega_j) by binomials; monomials are listed only for the
 blocks from low up (:func:`kept_monomials`), so the unit block is never
 enumerated.  A term that :meth:`QuotientBasis.reduce_vec` meets below low
-is hit, and it is dropped as the echelon drops bits below low.
+is hit, and it is dropped.
 
 The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
@@ -95,10 +96,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 @dataclass
 class HitSubspace:
-    """Echelonized span of Abar(P_q)_n over the degree-n monomial coordinates."""
+    """Echelonized span of Abar(P_q)_n over the degree-n monomial coordinates.
+
+    The coordinates [0, low) are hit; ``echelon`` spans the rest over the
+    kept coordinates [low, width), coordinate c at bit c - low.
+    """
 
     q: int
     n: int
+    low: int
     echelon: linalg.EchelonBasis
 
 
@@ -133,6 +139,11 @@ def _low(q: int, n: int, floor: WeightVector) -> int:
     blocks = _blocks(q, n)
     k = bisect_left(blocks, floor, key=itemgetter(0))
     return blocks[k][1] if k < len(blocks) else _width(q, n)
+
+
+def _kept_range(start: int, end: int, low: int) -> range:
+    """The coordinates of [start, end) from low up, shifted down by low."""
+    return range(max(start, low) - low, max(end, low) - low)
 
 
 def _auto_low(q: int, n: int) -> int:
@@ -203,7 +214,7 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
         # mu(n) > q: every monomial is hit, no elimination needed
         if poly.mu(n) <= q:
             raise ValueError(f"wood engine needs mu({n}) > {q}")
-        return HitSubspace(q, n, linalg.EchelonBasis(width, width))
+        return HitSubspace(q, n, width, linalg.EchelonBasis(0))
     floor = ()  # below every weight: the full engine keeps all coordinates
     if engine == "seeded":
         spike = poly.minimal_spike(q, n)
@@ -212,10 +223,11 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
         floor = poly.weight_of(spike)
     elif engine != "full":
         raise ValueError(f"unknown engine {engine!r}")
-    basis = linalg.EchelonBasis(width, _low(q, n, floor))
+    low = _low(q, n, floor)
+    basis = linalg.EchelonBasis(width - low)
     for v in _generator_stream(q, n, floor):
-        basis.insert_shifted(v)
-    return HitSubspace(q, n, basis)
+        basis.insert(v)
+    return HitSubspace(q, n, low, basis)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -224,13 +236,16 @@ def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
 class QuotientBasis:
     """Q^q_n, or its weight block (Q^q_n)^omega, over admissible monomials.
 
-    ``echelon`` holds the relations over degree-n monomial coordinates; the
-    admissible monomials are the non-pivot coordinates of the space, in
-    coordinate order.  ``omega`` is None for the whole quotient.
+    The coordinates [0, low) are hit; ``echelon`` holds the relations over
+    the kept degree-n monomial coordinates [low, width), coordinate c at bit
+    c - low.  The admissible monomials are the non-pivot kept coordinates of
+    the space, in coordinate order.  ``omega`` is None for the whole
+    quotient.
     """
 
     q: int
     n: int
+    low: int
     admissible: tuple
     echelon: linalg.EchelonBasis
     omega: WeightVector | None
@@ -243,26 +258,27 @@ class QuotientBasis:
     def reduce_vec(self, f: Polynomial) -> int:
         """Coordinates of [f] over the admissible basis; zero iff f is a relation.
 
-        A term below the unit block's weight is hit and dies; a term that is
-        not a degree-n monomial in q variables raises.  In a weight block,
-        lower-weight terms die and higher ones raise.
+        A term below low is hit and dies; a term that is not a degree-n
+        monomial in q variables raises.  In a weight block, lower-weight terms
+        die and higher ones raise.
         """
-        q, n, low = self.q, self.n, self.echelon.low
-        if self.omega is not None:
-            high = next((m for m in f if poly.weight_of(m) > self.omega), None)
-            if high is not None:
-                raise ValueError(f"term {high} has weight above {self.omega}")
-            f = [m for m in f if poly.weight_of(m) == self.omega]
-        idx = _kept_index(q, n, low)
+        q, n, omega = self.q, self.n, self.omega
+        idx = _kept_index(q, n, self.low)
         v = 0
         for m in f:
             k = idx.get(m)
-            if k is not None:
-                v ^= 1 << k
-            elif len(m) != q or sum(m) != n or min(m, default=0) < 0:
+            if k is None and (len(m) != q or sum(m) != n or min(m, default=0) < 0):
                 raise ValueError(
                     f"term {m} is not a degree-{n} monomial in {q} variables")
-        v = self.echelon.reduce(v << low) >> low
+            if omega is not None:
+                w = poly.weight_of(m)
+                if w > omega:
+                    raise ValueError(f"term {m} has weight above {omega}")
+                if w < omega:
+                    continue
+            if k is not None:
+                v ^= 1 << k
+        v = self.echelon.reduce(v)
         out = 0
         for c in linalg.support(v):
             out |= 1 << self._coord_to_pos[c]
@@ -272,21 +288,20 @@ class QuotientBasis:
         return frozenset(self.admissible[k] for k in linalg.support(w))
 
 
-def _make_quotient(q: int, n: int, echelon: linalg.EchelonBasis,
+def _make_quotient(q: int, n: int, low: int, echelon: linalg.EchelonBasis,
                    start: int, end: int, omega=None) -> QuotientBasis:
-    """The quotient of span{e_c : start <= c < end} by the echelon's row space.
+    """The quotient of span{e_c : start <= c < end} by the hit coordinates
+    [0, low) and the echelon's row space over the kept ones.
 
-    Coordinates below the unit block's end are pivots, so only the stored
-    pivots are scanned, over shifted coordinates; ``_coord_to_pos`` is keyed
-    by those.
+    Only the kept coordinates are scanned against the echelon's pivots;
+    ``_coord_to_pos`` is keyed by shifted coordinates.
     """
-    low = echelon.low
     kept = kept_monomials(q, n, low)
     stored = echelon.rows_by_pivot()
-    free = [c for c in range(max(start, low) - low, max(end, low) - low)
-            if c not in stored]
+    free = [c for c in _kept_range(start, end, low) if c not in stored]
     pos = {c: k for k, c in enumerate(free)}
-    return QuotientBasis(q, n, tuple(kept[c] for c in free), echelon, omega, pos)
+    return QuotientBasis(q, n, low, tuple(kept[c] for c in free), echelon,
+                         omega, pos)
 
 
 _QCACHE: dict = {}
@@ -303,7 +318,7 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
     qb = cached_quotient(q, n)
     if qb is None:
         hs = hit_subspace(q, n)
-        qb = _make_quotient(q, n, hs.echelon, 0, hs.echelon.width)
+        qb = _make_quotient(q, n, hs.low, hs.echelon, 0, _width(q, n))
         _save_cached(qb)
     _QCACHE[(cache_dir(), q, n)] = qb
     return qb
@@ -319,9 +334,9 @@ def _save_cached(qb: QuotientBasis) -> None:
         "q": qb.q,
         "n": qb.n,
         "version": CACHE_VERSION,
-        "width": qb.echelon.width,
-        "low": qb.echelon.low,
-        "rank": qb.echelon.rank,
+        "width": qb.low + qb.echelon.width,
+        "low": qb.low,
+        "rank": qb.low + qb.echelon.rank,
         "dim": qb.dim,
         "crc32": zlib.crc32(payload),
     }
@@ -342,16 +357,15 @@ def _load_cached(q: int, n: int):
         lines = payload.splitlines()
         if meta["low"] != low or low + len(lines) != meta["rank"]:
             return None
-        basis = linalg.EchelonBasis(width, low)
+        basis = linalg.EchelonBasis(width - low)
         for line in lines:
             coords = [int(t) for t in line.split()]
             v = linalg.from_support(coords)  # ValueError on a negative one
-            # insert_shifted raises on a coordinate >= width - low, refuses an
-            # empty row and reduces a row whose pivot repeats an earlier one
-            if (v.bit_count() != len(coords)
-                    or basis.insert_shifted(v) != (True, v)):
+            # insert raises on a coordinate >= width - low, refuses an empty
+            # row and reduces a row whose pivot repeats an earlier one
+            if v.bit_count() != len(coords) or basis.insert(v) != (True, v):
                 return None
-        qb = _make_quotient(q, n, basis, 0, width)
+        qb = _make_quotient(q, n, low, basis, 0, width)
         return qb if qb.dim == meta["dim"] else None
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -376,31 +390,30 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
         raise ValueError(f"deg{omega} != {n}")
     qb = quotient_basis(q, n)
     start, end = _block(q, n, omega)
-    # a block below the spike's weight lies inside the unit block: dim 0
-    low = qb.echelon.low
-    shifted = range(max(start, low) - low, max(end, low) - low)
-    bmask = linalg.from_support(shifted)
+    # a block below the spike's weight is all hit: it keeps nothing, dim 0
+    kept = _kept_range(start, end, qb.low)
+    bmask = linalg.from_support(kept)
     by_pivot = qb.echelon.rows_by_pivot()
-    projected = linalg.EchelonBasis(qb.echelon.width, low)
-    for c in shifted:
+    projected = linalg.EchelonBasis(qb.echelon.width)
+    for c in kept:
         row = by_pivot.get(c)
         if row is not None:
-            projected.insert_shifted(row & bmask)
-    return _make_quotient(q, n, projected, start, end, omega)
+            projected.insert(row & bmask)
+    return _make_quotient(q, n, qb.low, projected, start, end, omega)
 
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
     """dim (Q^q_n)^omega for every realized omega, from the pivot weights.
 
-    A block's dim is its size less the stored pivots inside it; blocks in
-    the unit block have dim 0.
+    A block's dim is its kept size less the pivots inside it; blocks below
+    low have dim 0.
     """
-    low = qb.echelon.low
-    stored = sorted(qb.echelon.rows_by_pivot())
+    pivots = qb.echelon.pivots()
     out = {}
     for omega, start, end in _blocks(qb.q, qb.n):
-        lo, hi = max(start, low) - low, max(end, low) - low
-        out[omega] = hi - lo - (bisect_left(stored, hi) - bisect_left(stored, lo))
+        kept = _kept_range(start, end, qb.low)
+        out[omega] = len(kept) - (bisect_left(pivots, kept.stop)
+                                  - bisect_left(pivots, kept.start))
     return out
 
 

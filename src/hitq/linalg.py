@@ -4,10 +4,8 @@ Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
 of a universe of size ``width``.  Addition is XOR.  An :class:`EchelonBasis`
 holds a streaming row-echelon basis of a subspace; pivots are chosen at the
 highest occupied bit position, so the caller controls pivot priority by
-laying out coordinates.  A prefix of coordinates spanned by unit vectors is
-held implicitly and costs no row memory.  Polynomials, dual elements and
-lambda-algebra elements are frozensets of terms; :func:`xor_terms` is their
-one GF(2) sum.
+laying out coordinates.  Polynomials, dual elements and lambda-algebra
+elements are frozensets of terms; :func:`xor_terms` is their one GF(2) sum.
 """
 
 from __future__ import annotations
@@ -50,32 +48,19 @@ class EchelonBasis:
     Rows are kept in forward echelon form only (each row's pivot is its
     highest set bit and pivots are distinct); reduced row-echelon form is
     produced on demand by :meth:`rref`.
-
-    The first ``low`` coordinates are an implicit unit block: the unit
-    vectors e_0, ..., e_{low-1} lie in the space but are never stored.  The
-    stored rows live on the coordinates [low, width), shifted right by
-    ``low`` (bit c - low holds coordinate c), so their size tracks the suffix
-    alone.  :attr:`rank`, :meth:`pivots`, :meth:`insert`, :meth:`reduce` and
-    :meth:`member` speak full coordinates; :meth:`insert_shifted`,
-    :meth:`rows`, :meth:`rows_by_pivot` and :meth:`rref` speak shifted ones.
-    With ``low = 0`` the two agree.
     """
 
-    def __init__(self, width: int, low: int = 0):
-        if not 0 <= low <= width:
-            raise ValueError(f"unit block [0, {low}) does not fit width {width}")
+    def __init__(self, width: int):
         self.width = width
-        self.low = low
-        self._rows: dict[int, int] = {}  # shifted pivot -> shifted row
+        self._rows: dict[int, int] = {}  # pivot -> row
 
     @property
     def rank(self) -> int:
-        return self.low + len(self._rows)
+        return len(self._rows)
 
     def pivots(self) -> list[int]:
-        """Pivot coordinates, ascending: the unit block, then the stored pivots."""
-        low = self.low
-        return [*range(low), *(p + low for p in sorted(self._rows))]
+        """Pivot coordinates, ascending."""
+        return sorted(self._rows)
 
     def insert(self, v: int) -> tuple[bool, int]:
         """Insert a vector; returns (inserted, remainder).
@@ -84,12 +69,7 @@ class EchelonBasis:
         rank grew); ``remainder`` is the reduced row actually stored, or 0
         when v was dependent.
         """
-        inserted, row = self.insert_shifted(v >> self.low)  # checks the width
-        return inserted, row << self.low
-
-    def insert_shifted(self, v: int) -> tuple[bool, int]:
-        """:meth:`insert` for a vector over the shifted coordinates [low, width)."""
-        if v >> (self.width - self.low):
+        if v >> self.width:
             raise ValueError("vector exceeds universe width")
         rows = self._rows
         while v:
@@ -111,7 +91,6 @@ class EchelonBasis:
         if v >> self.width:
             raise ValueError("vector exceeds universe width")
         rows = self._rows
-        v >>= self.low  # the unit block clears every coordinate below low
         done = 0
         while v:
             p = v.bit_length() - 1
@@ -122,22 +101,22 @@ class EchelonBasis:
                 v ^= bit
             else:
                 v ^= row
-        return done << self.low
+        return done
 
     def member(self, v: int) -> bool:
         """True iff v lies in the row space."""
         return self.reduce(v) == 0
 
     def rows(self) -> list[int]:
-        """Stored rows (forward echelon form, shifted)."""
+        """Stored rows (forward echelon form)."""
         return list(self._rows.values())
 
     def rows_by_pivot(self) -> dict[int, int]:
-        """Stored forward-echelon rows keyed by pivot, both shifted."""
+        """Stored forward-echelon rows keyed by pivot."""
         return dict(self._rows)
 
     def rref(self) -> dict[int, int]:
-        """Reduced stored rows keyed by pivot, both shifted.
+        """Reduced stored rows keyed by pivot.
 
         Each returned row is zero at every other pivot.  Processing pivots in
         ascending position keeps already-cleaned rows clean, so one pass

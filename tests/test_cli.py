@@ -120,12 +120,11 @@ def test_negative_jobs_is_a_usage_error():
 def test_long_job_guard():
     r = _run("basis", "--q", "4", "--n", "81")
     assert r.exit_code == 2 and "--allow-long" in r.output
-    # a lowered threshold trips earlier; --allow-long lifts it
-    r = _run("basis", "--q", "4", "--n", "9", "--long-threshold", "5")
-    assert r.exit_code == 2
-    r = _run("basis", "--q", "4", "--n", "9", "--long-threshold", "5",
-             "--allow-long")
-    assert r.exit_code == 0 and "dim = 46" in r.output
+    # a sweep is refused before any of its jobs runs; --allow-long lifts it
+    r = _run("basis", "--q", "2", "--degrees", "80,81")
+    assert r.exit_code == 2 and "degree 81" in r.output and "Q^2" not in r.output
+    r = _run("basis", "--q", "2", "--degrees", "80,81", "--allow-long")
+    assert r.exit_code == 0 and "Q^2_81: dim = " in r.output
 
 
 def test_reports_are_deterministic():

@@ -79,7 +79,7 @@ def test_primitive_basis_matches_dual_sq_oracle():
 def test_primitive_basis_reads_a_cached_quotient(tmp_path, monkeypatch):
     # an existing cache file is read, not re-eliminated, and left as it was
     monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
-    fresh = dual._annihilator(hit.hit_subspace(4, 24).echelon, 4, 24)
+    fresh = dual._annihilator(hit.hit_subspace(4, 24))
     hit.quotient_basis(4, 24)
     hit._QCACHE.pop((tmp_path, 4, 24))
     (path,) = tmp_path.iterdir()

@@ -26,6 +26,12 @@ def test_frozen_oracle_table_is_live():
         assert dims == tuple(oracles.hit_dimension(q, n) for n in range(upper + 1))
 
 
+def _pivots(space):
+    """Pivots of a HitSubspace or QuotientBasis in full coordinates: the hit
+    coordinates below low, then the echelon's pivots shifted up by low."""
+    return [*range(space.low), *(p + space.low for p in space.echelon.pivots())]
+
+
 def test_engines_agree_on_pivots():
     # equal pivots mean the monomials of the seeded unit block (those below
     # the minimal spike's weight) all lie in the hit span of the full engine
@@ -35,7 +41,7 @@ def test_engines_agree_on_pivots():
     for q, n in cases:
         full = hit.hit_subspace(q, n, engine="full")
         seeded = hit.hit_subspace(q, n, engine="seeded")
-        assert full.echelon.pivots() == seeded.echelon.pivots(), (q, n)
+        assert _pivots(full) == _pivots(seeded), (q, n)
 
 
 def _reference_stream(q, n, floor):
@@ -92,11 +98,33 @@ def test_hit_subspace_builds_no_source_universe(tmp_path, monkeypatch):
     assert poly.monomials.cache_info().currsize == 0
 
 
+def test_elimination_and_cache_load_go_through_insert(tmp_path, monkeypatch):
+    # the benchmark traces EchelonBasis.insert per layer, so a cold build
+    # and a cache load must both insert through it
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    verdicts = []
+    insert = linalg.EchelonBasis.insert
+
+    def counting(self, v):
+        out = insert(self, v)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg.EchelonBasis, "insert", counting)
+    hs = hit.hit_subspace(4, 21)
+    assert len(verdicts) > sum(verdicts) == hs.echelon.rank > 0
+    hit.quotient_basis(4, 21)
+    verdicts.clear()
+    qb = hit._load_cached(4, 21)
+    assert verdicts == [True] * qb.echelon.rank
+    assert qb.echelon.rows_by_pivot() == hs.echelon.rows_by_pivot()
+
+
 def test_wood_engine_where_every_monomial_is_hit():
     for q, n in ((2, 5), (2, 12), (3, 12)):
         full = hit.hit_subspace(q, n, engine="full")
         wood = hit.hit_subspace(q, n, engine="wood")
-        assert full.echelon.pivots() == wood.echelon.pivots() == list(
+        assert _pivots(full) == _pivots(wood) == list(
             range(len(poly.monomials(q, n))))
 
 
@@ -181,15 +209,19 @@ def test_block_table_and_kept_monomials_are_exact():
 
 def test_reduce_vec_drops_hit_terms_and_rejects_non_monomials():
     qb = hit.quotient_basis(4, 45)
-    low = qb.echelon.low
-    assert low > 0
-    below = poly.monomials(4, 45)[low - 1]  # the greatest unit-block monomial
+    assert qb.low > 0
+    below = poly.monomials(4, 45)[qb.low - 1]  # the greatest hit coordinate
     assert qb.reduce_vec(frozenset({below})) == 0
     m = qb.admissible[0]
     assert qb.reduce_vec(frozenset({below, m})) == 1
     for bad in ((1, 2, 42), (1, 2, 3, 39, 0), (1, 2, 3, 40), (-1, 2, 3, 41)):
         with pytest.raises(ValueError):
             qb.reduce_vec(frozenset({bad}))
+    # a weight block checks its terms before filtering them by weight
+    block = hit.weight_quotient(4, 9, (3, 1, 1))
+    for bad in ((1, 2), (1, 0, 0, 0), (-1, 2, 3, 5), (1, 2, 3, 4, -1)):
+        with pytest.raises(ValueError):
+            block.reduce_vec(frozenset({bad}))
 
 
 def test_weight_quotient_routes_agree():
@@ -226,7 +258,7 @@ def test_weight_blocks_below_the_floor_vanish():
     # they lie inside the seeded unit block: every coordinate is a pivot
     for q, n in ((4, 9), (4, 12), (3, 10)):
         qb = hit.quotient_basis(q, n)
-        low = qb.echelon.low
+        low = qb.low
         floor = poly.weight_of(poly.minimal_spike(q, n))
         below = [om for om in hit.enumerate_weights(q, n) if om < floor]
         assert below and low > 0, (q, n)
@@ -243,20 +275,20 @@ def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
     uni = poly.monomials(q, n)
     floor = poly.weight_of(poly.minimal_spike(q, n))
     low = sum(poly.weight_of(m) < floor for m in uni)
-    fresh = hit.quotient_basis(q, n).echelon
-    loaded = hit._load_cached(q, n).echelon
-    for eb in (fresh, loaded):
-        assert (eb.low, eb.width) == (low, len(uni))
-        rows = eb.rows_by_pivot()
-        # stored rows are shifted: none reaches below low or past the width
-        assert all(0 <= p and r.bit_length() == p + 1 <= eb.width - low
-                   for p, r in rows.items())
-        assert eb.rank == low + len(rows)
-        assert eb.pivots()[:low] == list(range(low))
-    assert loaded.rows_by_pivot() == fresh.rows_by_pivot()
+    fresh = hit.quotient_basis(q, n)
+    loaded = hit._load_cached(q, n)
+    for space in (fresh, loaded):
+        eb = space.echelon
+        assert (space.low, space.low + eb.width) == (low, len(uni))
+        # stored rows are over the kept coordinates: none reaches past them
+        assert all(r.bit_length() == p + 1 <= eb.width
+                   for p, r in eb.rows_by_pivot().items())
+        assert _pivots(space)[:low] == list(range(low))
+    assert loaded.echelon.rows_by_pivot() == fresh.echelon.rows_by_pivot()
     meta, rows = _split(hit._cache_path(q, n).read_bytes())
-    assert (meta["low"], meta["rank"]) == (low, fresh.rank)
-    assert len(rows) == fresh.rank - low
+    assert (meta["width"], meta["low"], meta["rank"]) == (
+        len(uni), low, low + fresh.echelon.rank)
+    assert len(rows) == fresh.echelon.rank
 
 
 def test_weight_quotient_rejects_degree_mismatch():
@@ -272,7 +304,7 @@ def test_cache_round_trip():
     loaded = hit.quotient_basis(3, 7)
     assert loaded is not qb
     assert loaded.admissible == qb.admissible
-    assert loaded.echelon.pivots() == qb.echelon.pivots()
+    assert _pivots(loaded) == _pivots(qb)
     f = poly.poly([(1, 2, 4), (0, 3, 4)])
     assert loaded.reduce_vec(f) == qb.reduce_vec(f)
 
@@ -404,16 +436,16 @@ DAMAGE = {
 def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
     monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
     q, n = 4, 9
-    fresh = hit.hit_subspace(q, n).echelon.pivots()
+    fresh = _pivots(hit.hit_subspace(q, n))
     hit.quotient_basis(q, n)
     (path,) = tmp_path.iterdir()
-    assert hit._load_cached(q, n).echelon.pivots() == fresh
+    assert _pivots(hit._load_cached(q, n)) == fresh
     DAMAGE[damage](path, path.read_bytes())
     assert hit._load_cached(q, n) is None
     hit._QCACHE.pop((hit.cache_dir(), q, n))
-    assert hit.quotient_basis(q, n).echelon.pivots() == fresh
+    assert _pivots(hit.quotient_basis(q, n)) == fresh
     # the rebuild rewrote a good file, and only the v3 file is read
-    assert hit._load_cached(q, n).echelon.pivots() == fresh
+    assert _pivots(hit._load_cached(q, n)) == fresh
 
 
 def test_any_one_bit_flip_is_a_miss_or_harmless(tmp_path, monkeypatch):

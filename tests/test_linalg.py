@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,26 +78,6 @@ def test_insert_reports_rank_growth(rows):
         seen += grew
         assert grew == bool(rem) or (not grew and rem == 0)
         assert eb.rank == seen
-
-
-@given(vector_lists, vectors, st.integers(min_value=0, max_value=WIDTH))
-def test_unit_block_matches_stored_unit_rows(rows, v, low):
-    # an implicit unit block spans what explicit unit rows e_0..e_{low-1} do
-    implicit = linalg.EchelonBasis(WIDTH, low)
-    explicit = linalg.EchelonBasis(WIDTH)
-    for c in range(low):
-        explicit.insert(1 << c)
-    for r in rows:
-        grew, rem = implicit.insert(r)
-        assert grew == explicit.insert(r)[0]
-        assert rem >> low << low == rem
-    assert implicit.rank == explicit.rank
-    assert implicit.pivots() == explicit.pivots()
-    assert implicit.reduce(v) == explicit.reduce(v)
-    assert implicit.member(v) == explicit.member(v)
-    # stored rows are shifted: each is a row-space element, moved down by low
-    for row in implicit.rows():
-        assert row >> (WIDTH - low) == 0 and explicit.member(row << low)
 
 
 @given(vector_lists)
@@ -183,13 +162,3 @@ def test_insert_rejects_overwide_vectors():
     else:
         raise AssertionError("expected ValueError")
 
-
-def test_unit_block_must_fit_the_width():
-    for low in (-1, 5):
-        with pytest.raises(ValueError):
-            linalg.EchelonBasis(4, low)
-    eb = linalg.EchelonBasis(4, 1)
-    with pytest.raises(ValueError):
-        eb.insert_shifted(1 << 3)  # coordinate 4: past the width
-    assert eb.insert_shifted(1 << 2) == (True, 1 << 2)
-    assert eb.pivots() == [0, 3]
