@@ -55,6 +55,11 @@ def _override_cache(cache: str | None) -> None:
     click.get_current_context().call_on_close(restore)
 
 
+_CACHE_OPTION = click.option(
+    "--cache", type=click.Path(file_okay=False), default=None,
+    help="cache directory (overrides HITQ_CACHE)")
+
+
 def _common_options(f):
     decs = [
         click.option("--q", "q", type=int, required=True,
@@ -65,8 +70,7 @@ def _common_options(f):
         click.option("--format", "fmt",
                      type=click.Choice(["json", "csv", "text"]),
                      default="text", show_default=True),
-        click.option("--cache", type=click.Path(file_okay=False), default=None,
-                     help="cache directory (overrides HITQ_CACHE)"),
+        _CACHE_OPTION,
         click.option("--jobs", type=int, default=0, metavar="N",
                      help="parallel workers over degrees (0 = all cores)"),
         click.option("--allow-long", is_flag=True,
@@ -97,7 +101,8 @@ def _basis_job(q, n, by_weight):
 
 
 def _block_job(q, n, omega):
-    dim = hit.weight_quotient(q, n, omega).dim
+    block = hit.weight_quotient(q, n, omega)
+    omega, dim = block.omega, block.dim  # omega without trailing zeros
     return ({"n": n, "omega": list(omega), "dim": dim},
             [(q, n, _omega_str(omega), dim, "weight")],
             [f"Q^{q}_{n} | omega={_omega_str(omega)}: dim = {dim}"])
@@ -195,6 +200,8 @@ def basis(by_weight, omega, **opts):
         job, arg = _block_job, _parse_ints(omega, "weight")
         if len(degs) != 1:
             raise click.UsageError("--omega requires a single --n")
+        if min(arg, default=0) < 0:
+            raise click.UsageError(f"weight vector {arg} has a negative entry")
         if poly.weight_degree(arg) != degs[0]:
             raise click.UsageError(
                 f"weight vector {arg} has degree {poly.weight_degree(arg)}, "
@@ -303,27 +310,24 @@ SUITES = {
 
 @main.command()
 @click.argument("suite_name", required=False)
-@click.option("--suite", "suite_opt", default=None,
-              help="suite name (alternative to the positional argument)")
-@click.option("--cache", type=click.Path(file_okay=False), default=None,
-              help="cache directory (overrides HITQ_CACHE)")
-def verify(suite_name, suite_opt, cache):
+@_CACHE_OPTION
+def verify(suite_name, cache):
     """Run a named verification suite; exit 1 on any mismatch."""
-    name = suite_opt or suite_name
     available = ", ".join(sorted(SUITES))
-    if not name:
+    if not suite_name:
         raise click.UsageError(f"provide a suite name; available: {available}")
-    if name not in SUITES:
-        raise click.UsageError(f"unknown suite {name!r}; available: {available}")
+    if suite_name not in SUITES:
+        raise click.UsageError(
+            f"unknown suite {suite_name!r}; available: {available}")
     _override_cache(cache)
     npass = nfail = 0
-    for label, ok in SUITES[name]():
+    for label, ok in SUITES[suite_name]():
         click.echo(("PASS " if ok else "FAIL ") + label)
         if ok:
             npass += 1
         else:
             nfail += 1
-    click.echo(f"{name}: {npass} passed, {nfail} failed")
+    click.echo(f"{suite_name}: {npass} passed, {nfail} failed")
     if nfail:
         raise SystemExit(1)
 

@@ -76,12 +76,11 @@ def is_primitive(e: Iterable[DividedMonomial]) -> bool:
     return True
 
 
-def _annihilator(space) -> tuple:
-    """Dual elements pairing to zero with the hit part of a degree-n space.
+def _annihilator(space: hit.QuotientBasis) -> tuple:
+    """Dual elements pairing to zero with the hit part of Q^q_n.
 
-    `space` is a :class:`hit.HitSubspace` or :class:`hit.QuotientBasis`.  The
-    elements vanish on its hit coordinates below low, so the kernel is taken
-    over its echelon's kept coordinates alone.
+    The elements vanish on the hit coordinates below low, so the kernel is
+    taken over the echelon's kept coordinates alone.
     """
     src = hit.kept_monomials(space.q, space.n, space.low)
     echelon = space.echelon

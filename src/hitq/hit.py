@@ -3,16 +3,15 @@
 Degree-n monomials, sorted ascending in the weight-then-exponent order, are
 the coordinates of one big GF(2) elimination; the greatest monomial of a hit
 element is its pivot, and the non-pivot monomials represent the quotient
-basis.  Wherever a minimal spike exists the elimination is seeded: every
-monomial whose weight is below the minimal spike's weight is certainly hit
-(Singer's criterion).  The coordinates are weight blocks in ascending
-weight, each block's monomials left-lex, so those monomials are a prefix
-[0, low) of the coordinates, and they are never stored: a
-:class:`HitSubspace` or :class:`QuotientBasis` carries low, and its echelon
-is a plain one over the kept coordinates [low, width), coordinate c at bit
-c - low, onto which the Sq^{2^i} generator stream is projected.  Where no
-spike exists (mu(n) > q) every monomial is hit (Wood) and low is the width;
-the full engine has low = 0.
+basis.  The elimination is seeded by one rule: every monomial whose weight
+is below the minimal spike's weight is hit (Singer's criterion), and where
+no spike exists (mu(n) > q) every monomial is hit (Wood), the same rule with
+nothing left above the floor.  The coordinates are weight blocks in
+ascending weight, each block's monomials left-lex, so those monomials are a
+prefix [0, low) of the coordinates, and they are never stored: a
+:class:`QuotientBasis` carries low, and its echelon is a plain one over the
+kept coordinates [low, width), coordinate c at bit c - low, onto which the
+Sq^{2^i} generator stream is projected.
 
 Only the block table (omega, start, end) is computed for every weight, its
 sizes prod_j C(q, omega_j) by binomials; monomials are listed only for the
@@ -94,20 +93,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 # --- hit subspace ------------------------------------------------------------
 
-@dataclass
-class HitSubspace:
-    """Echelonized span of Abar(P_q)_n over the degree-n monomial coordinates.
-
-    The coordinates [0, low) are hit; ``echelon`` spans the rest over the
-    kept coordinates [low, width), coordinate c at bit c - low.
-    """
-
-    q: int
-    n: int
-    low: int
-    echelon: linalg.EchelonBasis
-
-
 @lru_cache(maxsize=None)
 def _blocks(q: int, n: int) -> tuple:
     """The degree-n coordinates as weight blocks (omega, start, end), ascending."""
@@ -133,26 +118,18 @@ def _block(q: int, n: int, omega: WeightVector) -> tuple:
     return 0, 0
 
 
-def _low(q: int, n: int, floor: WeightVector) -> int:
-    """Number of degree-n monomials whose weight is below `floor`: a prefix
-    ending where the first block at or above `floor` starts."""
-    blocks = _blocks(q, n)
-    k = bisect_left(blocks, floor, key=itemgetter(0))
-    return blocks[k][1] if k < len(blocks) else _width(q, n)
+def _low(q: int, n: int) -> int:
+    """The unit block: the number of degree-n monomials below the minimal
+    spike's weight, or all of them when there is no spike (mu(n) > q)."""
+    spike = poly.minimal_spike(q, n)
+    if spike is None:
+        return _width(q, n)
+    return _block(q, n, poly.weight_of(spike))[0]
 
 
 def _kept_range(start: int, end: int, low: int) -> range:
     """The coordinates of [start, end) from low up, shifted down by low."""
     return range(max(start, low) - low, max(end, low) - low)
-
-
-def _auto_low(q: int, n: int) -> int:
-    """The auto engine's unit block: the monomials below the minimal spike's
-    weight, or all of them when there is no spike."""
-    spike = poly.minimal_spike(q, n)
-    if spike is None:
-        return _width(q, n)
-    return _low(q, n, poly.weight_of(spike))
 
 
 @lru_cache(maxsize=None)
@@ -169,16 +146,16 @@ def _kept_index(q: int, n: int, low: int) -> dict:
     return {m: k for k, m in enumerate(kept_monomials(q, n, low))}
 
 
-def _generator_stream(q: int, n: int, floor: WeightVector = ()):
+def _generator_stream(q: int, n: int, low: int = 0):
     """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, in that order,
-    projected onto the coordinates whose weight is at least `floor` and
-    shifted down by the number of coordinates below it.
+    projected onto the coordinates [low, width) and shifted down by low; low
+    starts a block.
 
     Built from the kept coordinates u (see the module docstring): every
     source (i, m) with u in Sq^{2^i}(m) gets bit c(u), under an int key that
     sorts the sources in stream order.
     """
-    kept = kept_monomials(q, n, _low(q, n, floor))
+    kept = kept_monomials(q, n, low)
     top = n.bit_length()
     lex = (n + 1) ** q
     wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
@@ -203,31 +180,16 @@ def _generator_stream(q: int, n: int, floor: WeightVector = ()):
         yield linalg.from_support(sources[key])
 
 
-def hit_subspace(q: int, n: int, engine: str = "auto") -> HitSubspace:
-    """Span of the Sq^{2^i} images in degree n (equals Abar(P_q)_n)."""
+def hit_subspace(q: int, n: int) -> QuotientBasis:
+    """Q^q_n from a fresh elimination of the Sq^{2^i} images in degree n, whose
+    span is Abar(P_q)_n; reads and writes no cache."""
     if n < 0:
         raise ValueError(f"degree {n} is negative")
-    width = _width(q, n)
-    if engine == "auto":
-        engine = "wood" if poly.mu(n) > q else "seeded"
-    if engine == "wood":
-        # mu(n) > q: every monomial is hit, no elimination needed
-        if poly.mu(n) <= q:
-            raise ValueError(f"wood engine needs mu({n}) > {q}")
-        return HitSubspace(q, n, width, linalg.EchelonBasis(0))
-    floor = ()  # below every weight: the full engine keeps all coordinates
-    if engine == "seeded":
-        spike = poly.minimal_spike(q, n)
-        if spike is None:
-            raise ValueError(f"seeded engine needs a minimal spike: mu({n}) > {q}")
-        floor = poly.weight_of(spike)
-    elif engine != "full":
-        raise ValueError(f"unknown engine {engine!r}")
-    low = _low(q, n, floor)
+    low, width = _low(q, n), _width(q, n)
     basis = linalg.EchelonBasis(width - low)
-    for v in _generator_stream(q, n, floor):
+    for v in _generator_stream(q, n, low):
         basis.insert(v)
-    return HitSubspace(q, n, low, basis)
+    return _make_quotient(q, n, low, basis, 0, width)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -317,8 +279,7 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
     """Q^q_n with its admissible monomial basis (cached on disk per (q,n))."""
     qb = cached_quotient(q, n)
     if qb is None:
-        hs = hit_subspace(q, n)
-        qb = _make_quotient(q, n, hs.low, hs.echelon, 0, _width(q, n))
+        qb = hit_subspace(q, n)
         _save_cached(qb)
     _QCACHE[(cache_dir(), q, n)] = qb
     return qb
@@ -353,7 +314,7 @@ def _load_cached(q: int, n: int):
         checked = [meta[k] for k in ("version", "q", "n", "width", "crc32")]
         if checked != [CACHE_VERSION, q, n, width, zlib.crc32(payload)]:
             return None
-        low = _auto_low(q, n)
+        low = _low(q, n)
         lines = payload.splitlines()
         if meta["low"] != low or low + len(lines) != meta["rank"]:
             return None
@@ -386,6 +347,10 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     coordinates, reduce the block; everything lower-weight projects away.
     """
     omega = tuple(omega)
+    while omega and omega[-1] == 0:  # a weight vector has no trailing zeros
+        omega = omega[:-1]
+    if min(omega, default=0) < 0:
+        raise ValueError(f"weight vector {omega} has a negative entry")
     if poly.weight_degree(omega) != n:
         raise ValueError(f"deg{omega} != {n}")
     qb = quotient_basis(q, n)
@@ -438,7 +403,6 @@ def kameko_kernel(q: int, n: int) -> list:
 
 
 __all__ = [
-    "HitSubspace",
     "QuotientBasis",
     "cache_dir",
     "kept_monomials",

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .linalg import solve_combination, xor_terms
+from .linalg import EchelonBasis, solve_combination, xor_terms
 from .poly import binom2
 
 Word = tuple  # tuple[int, ...]
@@ -267,18 +267,14 @@ def catalog(s: int, n: int) -> tuple:
                 candidates.append((_h_name(letters) + name, multiply(elem, [letters])))
             else:
                 candidates.append((name, elem))
+    span = EchelonBasis(len(admissible_basis(s, n)))
+    for v, _ in _boundaries(s, n):
+        span.insert(v)
     out = []
-    bnd = [v for v, _ in _boundaries(s, n)]
-    kept: list = []
     for name, elem in candidates:
         z = normalize(elem)
-        if not z:
-            continue
-        v = _vectorize(z, s, n)
-        if solve_combination(bnd + kept, v) is not None:
-            continue
-        kept.append(v)
-        out.append((name, z))
+        if z and span.insert(_vectorize(z, s, n))[0]:
+            out.append((name, z))
     return tuple(out)
 
 

@@ -72,8 +72,12 @@ def test_basis_csv_by_weight():
 def test_basis_single_weight_block():
     r = _run("basis", "--q", "4", "--n", "9", "--omega", "3,3")
     assert r.exit_code == 0 and "dim = 10" in r.output
+    r = _run("basis", "--q", "4", "--n", "9", "--omega", "3,3,0")
+    assert r.exit_code == 0 and "dim = 10" in r.output  # trailing zero
     r = _run("basis", "--q", "4", "--n", "9", "--omega", "1,1")
     assert r.exit_code == 2  # degree mismatch
+    r = _run("basis", "--q", "4", "--n", "9", "--omega", "-1,1,2")
+    assert r.exit_code == 2  # degree 9, a negative entry
 
 
 def test_primitives_command():
@@ -187,9 +191,6 @@ def test_verify_suite_passes():
     lines = r.output.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
-    # --suite spelling works too
-    r = _run("verify", "--suite", "paper-transfer")
-    assert r.exit_code == 0 and "paper-transfer: 4 passed, 0 failed" in r.output
 
 
 def test_verify_unknown_or_missing_suite():

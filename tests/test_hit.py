@@ -27,21 +27,27 @@ def test_frozen_oracle_table_is_live():
 
 
 def _pivots(space):
-    """Pivots of a HitSubspace or QuotientBasis in full coordinates: the hit
-    coordinates below low, then the echelon's pivots shifted up by low."""
+    """Pivots of a QuotientBasis in full coordinates: the hit coordinates
+    below low, then the echelon's pivots shifted up by low."""
     return [*range(space.low), *(p + space.low for p in space.echelon.pivots())]
+
+
+def _full_pivots(q, n):
+    """Pivots of the unseeded reference: the whole stream, low = 0."""
+    full = linalg.EchelonBasis(len(poly.monomials(q, n)))
+    for v in hit._generator_stream(q, n):
+        full.insert(v)
+    return full.pivots()
 
 
 def test_engines_agree_on_pivots():
     # equal pivots mean the monomials of the seeded unit block (those below
-    # the minimal spike's weight) all lie in the hit span of the full engine
+    # the minimal spike's weight) all lie in the hit span of the full stream
     cases = [(2, 6), (2, 7), (2, 8), (2, 14), (2, 15), (3, 41), (4, 41)]
     cases += [(q, n) for q in (3, 4) for n in range(41)
               if poly.minimal_spike(q, n) is not None]
     for q, n in cases:
-        full = hit.hit_subspace(q, n, engine="full")
-        seeded = hit.hit_subspace(q, n, engine="seeded")
-        assert _pivots(full) == _pivots(seeded), (q, n)
+        assert _pivots(hit.hit_subspace(q, n)) == _full_pivots(q, n), (q, n)
 
 
 def _reference_stream(q, n, floor):
@@ -73,9 +79,9 @@ def test_generator_stream_is_exact():
         spike = poly.minimal_spike(q, n)
         if spike is not None:
             floor = poly.weight_of(spike)
-            got = list(hit._generator_stream(q, n, floor))
+            got = list(hit._generator_stream(q, n, hit._low(q, n)))
             assert got == _reference_stream(q, n, floor), (q, n)
-    for q, n in ((1, 7), (2, 5), (3, 9), (4, 12)):  # the full engine's stream
+    for q, n in ((1, 7), (2, 5), (3, 9), (4, 12)):  # the unseeded stream, low = 0
         assert list(hit._generator_stream(q, n)) == _reference_stream(q, n, ())
 
 
@@ -122,24 +128,13 @@ def test_elimination_and_cache_load_go_through_insert(tmp_path, monkeypatch):
 
 def test_wood_engine_where_every_monomial_is_hit():
     for q, n in ((2, 5), (2, 12), (3, 12)):
-        full = hit.hit_subspace(q, n, engine="full")
-        wood = hit.hit_subspace(q, n, engine="wood")
-        assert _pivots(full) == _pivots(wood) == list(
+        assert _pivots(hit.hit_subspace(q, n)) == _full_pivots(q, n) == list(
             range(len(poly.monomials(q, n))))
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        hit.hit_subspace(3, 7, engine="banana")
 
 
 def test_hit_subspace_rejects_bad_input():
     with pytest.raises(ValueError):
         hit.hit_subspace(3, -1)
-    with pytest.raises(ValueError):
-        hit.hit_subspace(2, 5, engine="seeded")  # mu(5) = 3 > 2: no spike
-    with pytest.raises(ValueError):
-        hit.hit_subspace(4, 9, engine="wood")  # mu(9) = 3 <= 4
 
 
 def test_vectorize_round_trip():
@@ -203,7 +198,7 @@ def test_block_table_and_kept_monomials_are_exact():
     for q, n in cases:
         uni = poly.monomials(q, n)
         assert list(hit._blocks(q, n)) == _weight_runs(q, n), (q, n)
-        for low in {0, hit._auto_low(q, n), len(uni)}:
+        for low in {0, hit._low(q, n), len(uni)}:
             assert hit.kept_monomials(q, n, low) == uni[low:], (q, n, low)
 
 
@@ -294,19 +289,27 @@ def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
 def test_weight_quotient_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         hit.weight_quotient(4, 9, (1, 1))
+    with pytest.raises(ValueError):
+        hit.weight_quotient(4, 9, (-1, 1, 2))  # degree 9, a negative entry
 
 
 def test_cache_round_trip():
-    qb = hit.quotient_basis(3, 7)
-    files = list(hit.cache_dir().glob("hit-q3-n7*"))
-    assert len(files) == 1 and "v3" in files[0].name, files
-    hit._QCACHE.pop((hit.cache_dir(), 3, 7))
-    loaded = hit.quotient_basis(3, 7)
-    assert loaded is not qb
-    assert loaded.admissible == qb.admissible
-    assert _pivots(loaded) == _pivots(qb)
-    f = poly.poly([(1, 2, 4), (0, 3, 4)])
-    assert loaded.reduce_vec(f) == qb.reduce_vec(f)
+    # a seeded degree, a no-spike degree (low is the width: the file holds
+    # no row) and degree 0, so the loader's low covers both sides of the rule
+    assert hit._low(2, 5) == len(poly.monomials(2, 5))
+    for q, n in ((3, 7), (2, 5), (4, 0)):
+        qb = hit.quotient_basis(q, n)
+        files = list(hit.cache_dir().glob(f"hit-q{q}-n{n}-*"))
+        assert len(files) == 1 and "v3" in files[0].name, files
+        assert len(_split(files[0].read_bytes())[1]) == qb.echelon.rank
+        hit._QCACHE.pop((hit.cache_dir(), q, n))
+        loaded = hit.quotient_basis(q, n)
+        assert loaded is not qb
+        assert loaded.admissible == qb.admissible
+        assert _pivots(loaded) == _pivots(qb)
+        for m in poly.monomials(q, n):
+            f = frozenset({m})
+            assert loaded.reduce_vec(f) == qb.reduce_vec(f), (q, n, m)
 
 
 def _split(data: bytes) -> tuple:
