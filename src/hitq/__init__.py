@@ -1,7 +1,6 @@
-"""GF(2) workbench for the hit problem, group invariants, and the transfer."""
+"""GF(2) workbench for the hit problem, group invariants, and the transfer.
 
-from __future__ import annotations
+No submodule is imported here: ``from hitq import hit`` loads what hit needs.
+"""
 
 __version__ = "0.1.0"
-
-from . import action, dual, hit, lam, linalg, poly, transfer  # noqa: F401

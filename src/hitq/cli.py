@@ -2,83 +2,55 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import os
 
-import click
-
-from . import action, dual, hit, lam, poly, transfer
+# the jobs and suites import action, dual, lam and transfer: only what runs loads
+from . import hit, poly
 
 LONG_THRESHOLD = 80
 
 
+class UsageError(Exception):
+    """A bad command line: printed under the command's usage, exit code 2."""
+
+
 def _parse_ints(text: str, what: str) -> tuple:
     try:
-        return tuple(int(s) for s in text.replace(" ", "").split(",") if s)
+        return tuple(int(s) for s in text.replace(" ", "").split(","))
     except ValueError:
-        raise click.UsageError(f"cannot parse {what} list {text!r}")
+        raise UsageError(f"cannot parse {what} list {text!r}")
 
 
-def _degrees(opts: dict) -> tuple:
+def _degrees(opts) -> tuple:
     """The degrees of --n or --degrees, after the --q, --jobs and long-job checks."""
-    n, degrees = opts["n"], opts["degrees"]
+    n, degrees = opts.n, opts.degrees
     if (n is None) == (degrees is None):
-        raise click.UsageError("provide exactly one of --n or --degrees")
+        raise UsageError("provide exactly one of --n or --degrees")
     degs = (n,) if n is not None else _parse_ints(degrees, "degree")
-    if opts["q"] < 1:
-        raise click.UsageError("--q must be at least 1")
-    if opts["jobs"] < 0:
-        raise click.UsageError("--jobs must be at least 0")
-    if not degs:
-        raise click.UsageError("no degrees given")
+    if opts.q < 1:
+        raise UsageError("--q must be at least 1")
+    if opts.jobs < 0:
+        raise UsageError("--jobs must be at least 0")
     for d in degs:
         if d < 0:
-            raise click.UsageError(f"degree {d} is negative")
-        if d > LONG_THRESHOLD and not opts["allow_long"]:
-            raise click.UsageError(
+            raise UsageError(f"degree {d} is negative")
+        if d > LONG_THRESHOLD and not opts.allow_long:
+            raise UsageError(
                 f"degree {d} exceeds the long-job threshold "
                 f"({LONG_THRESHOLD}); rerun with --allow-long"
             )
     return degs
 
 
-def _override_cache(cache: str | None) -> None:
-    """Point HITQ_CACHE at `cache` until the current command returns."""
-    if not cache:
-        return
-    before = os.environ.get("HITQ_CACHE")
-    os.environ["HITQ_CACHE"] = cache
-    restore = ((lambda: os.environ.pop("HITQ_CACHE", None)) if before is None
-               else (lambda: os.environ.update(HITQ_CACHE=before)))
-    click.get_current_context().call_on_close(restore)
-
-
-_CACHE_OPTION = click.option(
-    "--cache", type=click.Path(file_okay=False), default=None,
-    help="cache directory (overrides HITQ_CACHE)")
-
-
-def _common_options(f):
-    decs = [
-        click.option("--q", "q", type=int, required=True,
-                     help="number of polynomial variables"),
-        click.option("--n", "n", type=int, default=None, help="single degree"),
-        click.option("--degrees", default=None, metavar="N1,N2,...",
-                     help="comma-separated degree sweep"),
-        click.option("--format", "fmt",
-                     type=click.Choice(["json", "csv", "text"]),
-                     default="text", show_default=True),
-        _CACHE_OPTION,
-        click.option("--jobs", type=int, default=0, metavar="N",
-                     help="parallel workers over degrees (0 = all cores)"),
-        click.option("--allow-long", is_flag=True,
-                     help=f"permit degrees above {LONG_THRESHOLD}"),
-    ]
-    for dec in reversed(decs):
-        f = dec(f)
-    return f
+def _directory(path: str) -> str:
+    """--cache: a directory, or a path not made yet, but never a file."""
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"Directory {path!r} is a file.")
+    return path
 
 
 # --- degree jobs: (q, n, arg) -> (JSON entry, CSV rows, text lines) -----------
@@ -109,6 +81,7 @@ def _block_job(q, n, omega):
 
 
 def _invariants_job(q, n, group):
+    from . import action
     qb = hit.quotient_basis(q, n)
     inv = len(action.invariant_subspace(qb, action.group_generators(q, group)))
     return ({"n": n, "dim": qb.dim, "invariants": inv},
@@ -117,12 +90,14 @@ def _invariants_job(q, n, group):
 
 
 def _primitives_job(q, n, _):
+    from . import dual
     dim = len(dual.primitive_basis(q, n))
     return ({"n": n, "dim": dim}, [(q, n, "", dim, "primitive")],
             [f"primitives(q={q}, n={n}): dim = {dim}"])
 
 
 def _transfer_job(q, n, _):
+    from . import lam, transfer
     rep = transfer.transfer_image_report(q, n)
     gens = [{
         "element": {"q": q, "n": n, "terms": sorted(list(m) for m in e)},
@@ -151,86 +126,85 @@ def _init_worker(cache: str | None) -> None:
         os.environ["HITQ_CACHE"] = cache
 
 
-def _sweep(head: dict, job, arg, degs: tuple, opts: dict) -> None:
+def _sweep(opts, degs: tuple, job, arg=None, **head) -> None:
     """Run job(q, n, arg) for each degree, in order, and print the report."""
-    q, cache = opts["q"], opts["cache"]
-    _override_cache(cache)
-    jobs = opts["jobs"] if opts["jobs"] > 0 else (os.cpu_count() or 1)
+    q = opts.q
+    jobs = opts.jobs if opts.jobs > 0 else (os.cpu_count() or 1)
     workers = min(jobs, len(degs))
     if workers > 1:
         # imported here: one worker, the common case, skips its start-up cost
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(cache,)) as pool:
+                                 initargs=(opts.cache,)) as pool:
             out = list(pool.map(job, [q] * len(degs), degs, [arg] * len(degs)))
     else:
         out = [job(q, d, arg) for d in degs]
-    if opts["fmt"] == "json":
-        payload = {**head, "q": q, "results": [entry for entry, _, _ in out]}
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    elif opts["fmt"] == "csv":
+    if opts.fmt == "json":
+        payload = {"command": opts.command, **head, "q": q,
+                   "results": [entry for entry, _, _ in out]}
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif opts.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["q", "n", "omega", "dim", "kind"])
         for _, rows, _ in out:
             writer.writerows(rows)
-        click.echo(buf.getvalue().rstrip("\n"))
+        print(buf.getvalue().rstrip("\n"))
     else:
         for _, _, lines in out:
             for line in lines:
-                click.echo(line)
+                print(line)
 
 
-@click.group()
-def main():
-    """GF(2) workbench for hit-problem quotients, invariants, and the transfer."""
+# --- commands: each takes the parsed options ------------------------------------
 
-
-@main.command()
-@_common_options
-@click.option("--by-weight", is_flag=True,
-              help="also report per weight-vector dimensions")
-@click.option("--omega", default=None, metavar="W1,W2,...",
-              help="restrict to a single weight-vector block")
-def basis(by_weight, omega, **opts):
+def basis(opts) -> None:
     """Dimensions of the quotients Q^q_n over the admissible basis."""
     degs = _degrees(opts)
-    job, arg = _basis_job, by_weight
-    if omega is not None:
-        job, arg = _block_job, _parse_ints(omega, "weight")
+    job, arg = _basis_job, opts.by_weight
+    if opts.omega is not None:
+        job, arg = _block_job, _parse_ints(opts.omega, "weight")
         if len(degs) != 1:
-            raise click.UsageError("--omega requires a single --n")
-        if min(arg, default=0) < 0:
-            raise click.UsageError(f"weight vector {arg} has a negative entry")
+            raise UsageError("--omega requires a single --n")
+        if min(arg) < 0:
+            raise UsageError(f"weight vector {arg} has a negative entry")
         if poly.weight_degree(arg) != degs[0]:
-            raise click.UsageError(
+            raise UsageError(
                 f"weight vector {arg} has degree {poly.weight_degree(arg)}, "
                 f"not {degs[0]}")
-    _sweep({"command": "basis"}, job, arg, degs, opts)
+    _sweep(opts, degs, job, arg)
 
 
-@main.command()
-@_common_options
-@click.option("--group", type=click.Choice(["sigma", "gl"]), default="gl",
-              show_default=True, help="symmetric group or full GL(q)")
-def invariants(group, **opts):
+def invariants(opts) -> None:
     """Dimensions of the group-invariant subspaces of Q^q_n."""
-    _sweep({"command": "invariants", "group": group}, _invariants_job, group,
-           _degrees(opts), opts)
+    _sweep(opts, _degrees(opts), _invariants_job, opts.group, group=opts.group)
 
 
-@main.command()
-@_common_options
-def primitives(**opts):
+def primitives(opts) -> None:
     """Dimensions of the spaces of Steenrod-annihilated dual elements."""
-    _sweep({"command": "primitives"}, _primitives_job, None, _degrees(opts), opts)
+    _sweep(opts, _degrees(opts), _primitives_job)
 
 
-@main.command("transfer")
-@_common_options
-def transfer_cmd(**opts):
+def transfer_cmd(opts) -> None:
     """Transfer images of the coinvariant generators, identified in homology."""
-    _sweep({"command": "transfer"}, _transfer_job, None, _degrees(opts), opts)
+    _sweep(opts, _degrees(opts), _transfer_job)
+
+
+def verify(opts) -> None:
+    """Run a named verification suite; exit 1 on any mismatch."""
+    name, available = opts.suite_name, ", ".join(sorted(SUITES))
+    if not name:
+        raise UsageError(f"provide a suite name; available: {available}")
+    if name not in SUITES:
+        raise UsageError(f"unknown suite {name!r}; available: {available}")
+    oks = []
+    for label, ok in SUITES[name]():
+        print(("PASS " if ok else "FAIL ") + label)
+        oks.append(ok)
+    nfail = sum(not ok for ok in oks)
+    print(f"{name}: {len(oks) - nfail} passed, {nfail} failed")
+    if nfail:
+        raise SystemExit(1)
 
 
 # --- verification suites --------------------------------------------------------
@@ -250,6 +224,7 @@ def _suite_paper_dims():
 
 
 def _suite_paper_invariants():
+    from . import action
     qb9 = hit.quotient_basis(4, 9)
     sig = len(action.invariant_subspace(qb9, action.sigma_generators(4)))
     yield "dim (Q^4_9)^sigma = 4", sig == 4
@@ -264,6 +239,7 @@ def _suite_paper_invariants():
 
 
 def _suite_paper_transfer():
+    from . import transfer
     for n, want in ((9, ("h_1c_0",)), (17, ("e_0",)), (21, ())):
         rep = transfer.transfer_image_report(4, n)
         label = f"Im Tr_4 at n={n} is {want if want else '0'}"
@@ -273,28 +249,20 @@ def _suite_paper_transfer():
 
 
 def _suite_lambda_props():
+    from . import lam
     ok = all(lam.normalize([(i, 2 * i + 1)]) == lam.ZERO for i in range(11))
     yield "lambda_i lambda_{2i+1} rewrites to 0 (i <= 10)", ok
-    ok = True
-    for s in range(1, 5):
-        for n in range(25):
-            for w in lam.admissible_basis(s, n):
-                ok = ok and not lam.differential(lam.differential([w]))
+    ok = all(not lam.differential(lam.differential([w]))
+             for s in range(1, 5) for n in range(25)
+             for w in lam.admissible_basis(s, n))
     yield "d(d(w)) = 0 for admissible words, length <= 4, degree <= 24", ok
-    ok = True
-    for n in range(21):
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                w = (a, b, n - a - b)
-                ok = ok and (lam.differential([w])
-                             == lam.differential(lam.normalize([w])))
+    ok = all(lam.differential([w]) == lam.differential(lam.normalize([w]))
+             for n in range(21) for a in range(n + 1)
+             for w in ((a, b, n - a - b) for b in range(n - a + 1)))
     yield "d agrees before/after normalization (length 3, degree <= 20)", ok
-    ok = True
-    for s in range(1, 4):
-        for n in range(21):
-            for w in lam.admissible_basis(s, n):
-                ok = ok and (lam.theta(lam.differential([w]))
-                             == lam.differential(lam.theta([w])))
+    ok = all(lam.theta(lam.differential([w])) == lam.differential(lam.theta([w]))
+             for s in range(1, 4) for n in range(21)
+             for w in lam.admissible_basis(s, n))
     yield "theta is a chain map (length <= 3, degree <= 20)", ok
     e0 = dict(lam.catalog(4, 17))["e_0"]
     yield "the degree-17 catalog cycle e_0 has d = 0", not lam.differential(e0)
@@ -308,28 +276,64 @@ SUITES = {
 }
 
 
-@main.command()
-@click.argument("suite_name", required=False)
-@_CACHE_OPTION
-def verify(suite_name, cache):
-    """Run a named verification suite; exit 1 on any mismatch."""
-    available = ", ".join(sorted(SUITES))
-    if not suite_name:
-        raise click.UsageError(f"provide a suite name; available: {available}")
-    if suite_name not in SUITES:
-        raise click.UsageError(
-            f"unknown suite {suite_name!r}; available: {available}")
-    _override_cache(cache)
-    npass = nfail = 0
-    for label, ok in SUITES[suite_name]():
-        click.echo(("PASS " if ok else "FAIL ") + label)
-        if ok:
-            npass += 1
+# --- the parser -----------------------------------------------------------------
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hitq", allow_abbrev=False, description=(
+        "GF(2) workbench for hit-problem quotients, invariants, and the transfer."))
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for run in (basis, invariants, primitives, transfer_cmd, verify):
+        sub = commands.add_parser(run.__name__.removesuffix("_cmd"),
+                                  help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        if run is verify:
+            sub.add_argument("suite_name", nargs="?")
         else:
-            nfail += 1
-    click.echo(f"{suite_name}: {npass} passed, {nfail} failed")
-    if nfail:
-        raise SystemExit(1)
+            sub.add_argument("--q", type=int, required=True, metavar="INTEGER",
+                             help="number of polynomial variables")
+            sub.add_argument("--n", type=int, metavar="INTEGER",
+                             help="single degree")
+            sub.add_argument("--degrees", metavar="N1,N2,...",
+                             help="comma-separated degree sweep")
+            sub.add_argument("--format", dest="fmt", default="text",
+                             choices=("json", "csv", "text"),
+                             help="[default: %(default)s]")
+            sub.add_argument("--jobs", type=int, default=0, metavar="N",
+                             help="parallel workers over degrees (0 = all cores)")
+            sub.add_argument("--allow-long", action="store_true",
+                             help=f"permit degrees above {LONG_THRESHOLD}")
+        sub.add_argument("--cache", type=_directory, metavar="DIRECTORY",
+                         help="cache directory (overrides HITQ_CACHE)")
+        if run is basis:
+            sub.add_argument("--by-weight", action="store_true",
+                             help="also report per weight-vector dimensions")
+            sub.add_argument("--omega", metavar="W1,W2,...",
+                             help="restrict to a single weight-vector block")
+        elif run is invariants:
+            sub.add_argument(
+                "--group", choices=("sigma", "gl"), default="gl",
+                help="symmetric group or full GL(q) [default: %(default)s]")
+    return parser
+
+
+def main(args=None) -> None:
+    """Run one command line (default ``sys.argv[1:]``); exit 1 when a verify
+    suite fails, 2 on a usage error.  --cache sets HITQ_CACHE for it only."""
+    opts = _parser().parse_args(args)
+    before = os.environ.get("HITQ_CACHE")
+    if opts.cache:
+        os.environ["HITQ_CACHE"] = opts.cache
+    try:
+        opts.run(opts)
+    except UsageError as exc:
+        opts.parser.error(str(exc))
+    finally:
+        if before is None:
+            os.environ.pop("HITQ_CACHE", None)
+        else:
+            os.environ["HITQ_CACHE"] = before
 
 
 __all__ = ["main", "SUITES", "LONG_THRESHOLD"]

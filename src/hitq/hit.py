@@ -54,7 +54,6 @@ import os
 import tempfile
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -194,7 +193,6 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
 
 # --- quotient -----------------------------------------------------------------
 
-@dataclass
 class QuotientBasis:
     """Q^q_n, or its weight block (Q^q_n)^omega, over admissible monomials.
 
@@ -205,13 +203,12 @@ class QuotientBasis:
     quotient.
     """
 
-    q: int
-    n: int
-    low: int
-    admissible: tuple
-    echelon: linalg.EchelonBasis
-    omega: WeightVector | None
-    _coord_to_pos: dict
+    def __init__(self, q: int, n: int, low: int, admissible: tuple,
+                 echelon: linalg.EchelonBasis, omega: WeightVector | None,
+                 _coord_to_pos: dict):
+        self.q, self.n, self.low = q, n, low
+        self.admissible, self.echelon, self.omega = admissible, echelon, omega
+        self._coord_to_pos = _coord_to_pos
 
     @property
     def dim(self) -> int:

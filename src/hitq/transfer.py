@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import action, dual, lam, linalg
@@ -59,15 +58,15 @@ def transfer_class(e, q: int | None = None):
     return z, lam.identify_class(z)
 
 
-@dataclass
 class TransferReport:
     """Transfer image summary at one degree."""
 
-    q: int
-    n: int
-    generators: tuple  # (dual element, cycle, identification) triples
-    image: tuple  # names of identified classes, deterministic order
-    unidentified: int  # count of generators outside the catalog span
+    def __init__(self, q: int, n: int, generators: tuple, image: tuple,
+                 unidentified: int):
+        self.q, self.n = q, n
+        self.generators = generators  # (dual element, cycle, identification)
+        self.image = image  # names of identified classes, deterministic order
+        self.unidentified = unidentified  # generators outside the catalog span
 
     @property
     def bidegree(self) -> tuple:

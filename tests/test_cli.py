@@ -1,7 +1,8 @@
-"""End-to-end tests of the command-line interface via click's test runner."""
+"""End-to-end tests of the command-line interface, in process and as processes."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib
 import importlib.util
@@ -9,16 +10,34 @@ import io
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
-
-from click.testing import CliRunner
+from types import SimpleNamespace
 
 import hitq
 from hitq import cli
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def _run(*args):
-    return CliRunner().invoke(cli.main, list(args))
+    """cli.main in process: exit code, and stdout and stderr as one text."""
+    out, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue())
+
+
+def _hitq(*argv, script=("-c", "from hitq.cli import main; main()")):
+    """hitq as a fresh process with the checkout's src on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, *script, *argv], env=env,
+                          capture_output=True, text=True, cwd=ROOT)
 
 
 def test_basis_text_examples():
@@ -109,6 +128,10 @@ def test_usage_errors_exit_2():
         ("basis", "--q", "0", "--n", "3"),
         ("basis", "--q", "4", "--degrees", "9,x"),
         ("invariants", "--q", "4"),
+        # an empty list field is an error, not a field dropped
+        ("basis", "--q", "4", "--n", "9", "--omega", "3,,3"),
+        ("basis", "--q", "4", "--n", "9", "--omega", ",3,3"),
+        ("basis", "--q", "4", "--degrees", "9,,10,"),
     ]
     for args in cases:
         r = _run(*args)
@@ -238,3 +261,59 @@ def test_traced_spans_and_exports_resolve():
         module = importlib.import_module(f"hitq.{info.name}")
         for name in module.__all__:
             assert hasattr(module, name), (info.name, name)
+
+
+COMMAND_OPTIONS = {
+    "basis": ("--q", "--n", "--degrees", "--format", "--cache", "--jobs",
+              "--allow-long", "--by-weight", "--omega"),
+    "invariants": ("--q", "--n", "--degrees", "--format", "--cache", "--jobs",
+                   "--allow-long", "--group"),
+    "primitives": ("--q", "--n", "--degrees", "--format", "--cache", "--jobs",
+                   "--allow-long"),
+    "transfer": ("--q", "--n", "--degrees", "--format", "--cache", "--jobs",
+                 "--allow-long"),
+    "verify": ("--cache",),
+}
+
+
+def test_help_names_every_command_and_option():
+    r = _run("--help")
+    assert r.exit_code == 0
+    assert all(name in r.output for name in COMMAND_OPTIONS)
+    for name, options in COMMAND_OPTIONS.items():
+        r = _run(name, "--help")
+        assert r.exit_code == 0, name
+        assert all(opt in r.output for opt in options), name
+    assert _run().exit_code == 2  # a bare hitq names no command
+
+
+def test_cache_option_refuses_a_file(tmp_path):
+    path = tmp_path / "a-file"
+    path.write_text("")
+    r = _run("basis", "--q", "3", "--n", "5", "--cache", str(path))
+    assert r.exit_code == 2 and "is a file" in r.output
+
+
+def test_basis_process_imports_only_what_it_runs(tmp_path):
+    # -S: no site-packages, so only the interpreter and hitq load modules
+    unwanted = ("click", "dataclasses", "inspect", "concurrent.futures",
+                "hitq.lam", "hitq.dual", "hitq.transfer", "hitq.action")
+    code = ("import sys\nfrom hitq.cli import main\nmain(sys.argv[1:])\n"
+            f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
+    r = _hitq("basis", "--q", "3", "--n", "5", "--jobs", "1",
+              "--cache", str(tmp_path), script=("-S", "-c", code))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["Q^3_5: dim = 3", "[]"]
+
+
+def test_traced_run_matches_the_plain_run(tmp_path):
+    # bench/traced.py calls cli.main(args=...) once, under its root span
+    args = ("basis", "--q", "3", "--n", "5", "--jobs", "1",
+            "--cache", str(tmp_path / "cache"))
+    plain = _hitq(*args)
+    spans = tmp_path / "spans.json"
+    traced = _hitq(*args, script=(str(ROOT / "bench" / "traced.py"),
+                                  str(spans)))
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["cli.main"]["calls"] == 1
