@@ -215,11 +215,9 @@ def _suite_paper_dims():
     ok = all(hit.quotient_basis(1, n).dim == (1 if (n + 1) & n == 0 else 0)
              for n in range(21))
     yield "q=1 dims are 1 exactly at n = 2^k - 1 (n <= 20)", ok
-    ok = True
-    for n in range(25):
-        total = sum(hit.weight_quotient(4, n, om).dim
-                    for om in hit.enumerate_weights(4, n))
-        ok = ok and total == hit.quotient_basis(4, n).dim
+    ok = all(sum(hit.weight_quotient(4, n, om).dim
+                 for om in hit.enumerate_weights(4, n)) == hit.quotient_basis(4, n).dim
+             for n in range(25))
     yield "weight-block dims sum to dim Q^4_n (n <= 24)", ok
 
 

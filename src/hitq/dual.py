@@ -4,14 +4,15 @@ A divided monomial a_1^{(j_1)}...a_q^{(j_q)} is stored as the tuple of its
 orders (j_1,...,j_q) -- the same tuple universe as exponent vectors on the
 polynomial side, which makes the order/exponent pairing a set intersection.
 Since <e Sq^t, u> = <e, Sq^t u>, the primitives are the annihilator of the
-hit subspace: the kernel of the rows of the echelon that `hit` builds.
+hit subspace, read off by transposing the normal-form table of the quotient
+that `hit` builds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
 
 from . import action, hit, linalg
 from .poly import Polynomial, binom2
@@ -79,15 +80,17 @@ def is_primitive(e: Iterable[DividedMonomial]) -> bool:
 def _annihilator(space: hit.QuotientBasis) -> tuple:
     """Dual elements pairing to zero with the hit part of Q^q_n.
 
-    The elements vanish on the hit coordinates below low, so the kernel is
-    taken over the echelon's kept coordinates alone.
+    They vanish below low, and over the kept coordinates they are the table
+    transposed, the canonical (rref) kernel basis: per admissible monomial f,
+    in order, f plus every pivot whose table entry has f's bit.
     """
     src = hit.kept_monomials(space.q, space.n, space.low)
-    echelon = space.echelon
-    return tuple(
-        frozenset(src[c] for c in linalg.support(v))
-        for v in linalg.kernel_basis(echelon.rows(), echelon.width)
-    )
+    table = space.table
+    cols = [[f] for f in space.admissible]
+    for p in space.pivots:
+        for k in linalg.support(table[p]):
+            cols[k].append(src[p])
+    return tuple(map(frozenset, cols))
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,10 @@ is below the minimal spike's weight is hit (Singer's criterion), and where
 no spike exists (mu(n) > q) every monomial is hit (Wood), the same rule with
 nothing left above the floor.  The coordinates are weight blocks in
 ascending weight, each block's monomials left-lex, so those monomials are a
-prefix [0, low) of the coordinates, and they are never stored: a
-:class:`QuotientBasis` carries low, and its echelon is a plain one over the
-kept coordinates [low, width), coordinate c at bit c - low, onto which the
-Sq^{2^i} generator stream is projected.
+prefix [0, low) of the coordinates, and they are never stored: the
+elimination is a plain echelon over the kept coordinates [low, width),
+coordinate c at bit c - low, onto which the Sq^{2^i} generator stream is
+projected, and a :class:`QuotientBasis` carries low.
 
 Only the block table (omega, start, end) is computed for every weight, its
 sizes prod_j C(q, omega_j) by binomials; monomials are listed only for the
@@ -33,18 +33,20 @@ the plain Sq^{2^i}(m) images projected, shifted and with zeros dropped, and
 no source-degree universe is built.
 
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
-(Q^q_n)^omega; a block's relations are the shared elimination's rows
-projected to the exact-omega coordinates.
+(Q^q_n)^omega.  It holds no echelon, only its pivots and a normal-form
+table: pivot p -> [e_p] over the admissible basis, the free part of its
+reduced row, at most dim bits.  A fresh basis builds it on first use, the
+loader as it reads; reducing a polynomial is a XOR of lookups.
 
 Each Q^q_n is cached on disk as one atomically written file,
 ``hit-q{q}-n{n}-v3.rows``: a JSON header line (q, n, version, width, low,
 rank, dim and the CRC-32 of the payload, every field checked on load), then
 one line per stored echelon row, its set coordinates shifted down by low and
 ascending, rows in ascending pivot order.  The unit block is not written;
-the loader derives low from (q, n).  A file that fails any check on load is
-a cache miss, and so is a file of an older layout: the basis is rebuilt and
-the file rewritten.  The CRC guards against truncation and bit flips, not
-tampering.
+the loader derives low from (q, n) and checks the rows as coordinate lists,
+never as width-sized ints.  A file that fails any check on load is a cache
+miss, and so is a file of an older layout: the basis is rebuilt and the file
+rewritten.  The CRC guards against truncation and bit flips, not tampering.
 """
 
 from __future__ import annotations
@@ -68,10 +70,7 @@ CACHE_VERSION = 3
 # --- cache ------------------------------------------------------------------
 
 def cache_dir() -> Path:
-    env = os.environ.get("HITQ_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hitq"
+    return Path(os.environ.get("HITQ_CACHE") or Path.home() / ".cache" / "hitq")
 
 
 def _cache_path(q: int, n: int) -> Path:
@@ -188,7 +187,10 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
     basis = linalg.EchelonBasis(width - low)
     for v in _generator_stream(q, n, low):
         basis.insert(v)
-    return _make_quotient(q, n, low, basis, 0, width)
+    by_pivot = basis.rows_by_pivot()
+    del basis  # each int row is freed as its coordinate list is made
+    rows = [list(linalg.support(by_pivot.pop(p))) for p in sorted(by_pivot)]
+    return QuotientBasis(q, n, low, range(width - low), [r[-1] for r in rows], rows)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -196,23 +198,36 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
 class QuotientBasis:
     """Q^q_n, or its weight block (Q^q_n)^omega, over admissible monomials.
 
-    The coordinates [0, low) are hit; ``echelon`` holds the relations over
-    the kept degree-n monomial coordinates [low, width), coordinate c at bit
-    c - low.  The admissible monomials are the non-pivot kept coordinates of
-    the space, in coordinate order.  ``omega`` is None for the whole
-    quotient.
+    The coordinates [0, low) are hit; ``coords`` are the space's kept ones,
+    shifted down by low.  ``pivots`` lead its relations, ascending; the other
+    coordinates c are admissible, at position c - coords.start - (pivots
+    below c).  A fresh basis holds ``rows``, the forward rows' coordinate
+    lists by ascending pivot, until it builds :attr:`table` from them.
+    ``omega`` is None for the whole quotient.
     """
 
-    def __init__(self, q: int, n: int, low: int, admissible: tuple,
-                 echelon: linalg.EchelonBasis, omega: WeightVector | None,
-                 _coord_to_pos: dict):
-        self.q, self.n, self.low = q, n, low
-        self.admissible, self.echelon, self.omega = admissible, echelon, omega
-        self._coord_to_pos = _coord_to_pos
+    def __init__(self, q: int, n: int, low: int, coords: range, pivots: list,
+                 rows=None, omega: WeightVector | None = None, table=None):
+        self.q, self.n, self.low, self.omega = q, n, low, omega
+        self.coords, self.pivots = coords, pivots
+        kept, stored = kept_monomials(q, n, low), set(pivots)
+        self.admissible = tuple(kept[c] for c in coords if c not in stored)
+        self._rows, self._table = rows, table
 
     @property
     def dim(self) -> int:
         return len(self.admissible)
+
+    @property
+    def table(self) -> dict:
+        """Pivot p -> [e_p] over the admissible basis, the free part of p's
+        reduced row: at most dim bits."""
+        if self._table is None:
+            table = {}
+            for row in self._rows:
+                table[row[-1]] = _normal_form(row, table, self.pivots)
+            self._table, self._rows = table, None
+        return self._table
 
     def reduce_vec(self, f: Polynomial) -> int:
         """Coordinates of [f] over the admissible basis; zero iff f is a relation.
@@ -223,6 +238,7 @@ class QuotientBasis:
         """
         q, n, omega = self.q, self.n, self.omega
         idx = _kept_index(q, n, self.low)
+        table, pivots, start = self.table, self.pivots, self.coords.start
         v = 0
         for m in f:
             k = idx.get(m)
@@ -236,31 +252,26 @@ class QuotientBasis:
                 if w < omega:
                     continue
             if k is not None:
-                v ^= 1 << k
-        v = self.echelon.reduce(v)
-        out = 0
-        for c in linalg.support(v):
-            out |= 1 << self._coord_to_pos[c]
-        return out
+                r = table.get(k)
+                v ^= r if r is not None else 1 << (k - start - bisect_left(pivots, k))
+        return v
 
     def poly_of_vec(self, w: int) -> Polynomial:
         return frozenset(self.admissible[k] for k in linalg.support(w))
 
 
-def _make_quotient(q: int, n: int, low: int, echelon: linalg.EchelonBasis,
-                   start: int, end: int, omega=None) -> QuotientBasis:
-    """The quotient of span{e_c : start <= c < end} by the hit coordinates
-    [0, low) and the echelon's row space over the kept ones.
-
-    Only the kept coordinates are scanned against the echelon's pivots;
-    ``_coord_to_pos`` is keyed by shifted coordinates.
-    """
-    kept = kept_monomials(q, n, low)
-    stored = echelon.rows_by_pivot()
-    free = [c for c in _kept_range(start, end, low) if c not in stored]
-    pos = {c: k for k, c in enumerate(free)}
-    return QuotientBasis(q, n, low, tuple(kept[c] for c in free), echelon,
-                         omega, pos)
+def _normal_form(row: list, table: dict, pivots: list) -> int:
+    """[e_p] for a forward row's pivot p = row[-1], given the table and pivots
+    below p: XOR over the row's other coordinates c of c's entry, or, for an
+    admissible c, its bit.  ValueError unless those c strictly ascend from 0."""
+    v, prev, p = 0, -1, row[-1]
+    for c in row[:-1]:
+        if not prev < c < p:
+            raise ValueError(f"row {row} does not strictly ascend from 0")
+        prev = c
+        r = table.get(c)
+        v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
+    return v
 
 
 _QCACHE: dict = {}
@@ -283,27 +294,22 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
 
 
 def _save_cached(qb: QuotientBasis) -> None:
-    by_pivot = qb.echelon.rows_by_pivot()
-    payload = "".join(
-        " ".join(map(str, linalg.support(by_pivot[p]))) + "\n"
-        for p in sorted(by_pivot)
-    ).encode()
-    meta = {
-        "q": qb.q,
-        "n": qb.n,
-        "version": CACHE_VERSION,
-        "width": qb.low + qb.echelon.width,
-        "low": qb.low,
-        "rank": qb.low + qb.echelon.rank,
-        "dim": qb.dim,
-        "crc32": zlib.crc32(payload),
-    }
+    """Write a fresh Q^q_n, whose rows are still held (its table is unbuilt)."""
+    payload = "".join(" ".join(map(str, row)) + "\n" for row in qb._rows).encode()
+    meta = {"q": qb.q, "n": qb.n, "version": CACHE_VERSION,
+            "width": qb.low + len(qb.coords), "low": qb.low,
+            "rank": qb.low + len(qb.pivots), "dim": qb.dim,
+            "crc32": zlib.crc32(payload)}
     header = json.dumps(meta, sort_keys=True).encode()
     _atomic_write(_cache_path(qb.q, qb.n), header + b"\n" + payload)
 
 
 def _load_cached(q: int, n: int):
-    """The cached Q^q_n, or None when the file is missing or fails a check."""
+    """The cached Q^q_n, or None when the file is missing or fails a check.
+
+    Each row is non-empty and strictly ascending from 0 up, and the pivots
+    (last coordinates) strictly ascend below width - low; the table is built
+    in the same pass."""
     width = _width(q, n)
     try:
         head, _, payload = _cache_path(q, n).read_bytes().partition(b"\n")
@@ -311,20 +317,18 @@ def _load_cached(q: int, n: int):
         checked = [meta[k] for k in ("version", "q", "n", "width", "crc32")]
         if checked != [CACHE_VERSION, q, n, width, zlib.crc32(payload)]:
             return None
-        low = _low(q, n)
-        lines = payload.splitlines()
-        if meta["low"] != low or low + len(lines) != meta["rank"]:
-            return None
-        basis = linalg.EchelonBasis(width - low)
-        for line in lines:
-            coords = [int(t) for t in line.split()]
-            v = linalg.from_support(coords)  # ValueError on a negative one
-            # insert raises on a coordinate >= width - low, refuses an empty
-            # row and reduces a row whose pivot repeats an earlier one
-            if v.bit_count() != len(coords) or basis.insert(v) != (True, v):
+        low, top, pivots, table = _low(q, n), -1, [], {}
+        for line in payload.splitlines():
+            row = list(map(int, line.split()))  # ValueError on a non-integer
+            if not row or not top < row[-1] < width - low:
                 return None
-        qb = _make_quotient(q, n, low, basis, 0, width)
-        return qb if qb.dim == meta["dim"] else None
+            top = row[-1]
+            table[top] = _normal_form(row, table, pivots)  # checks the order
+            pivots.append(top)
+        rank = low + len(pivots)
+        if [meta["low"], meta["rank"], meta["dim"]] != [low, rank, width - rank]:
+            return None
+        return QuotientBasis(q, n, low, range(width - low), pivots, table=table)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -339,9 +343,10 @@ def enumerate_weights(q: int, n: int) -> list:
 def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     """The weight block (Q^q_n)^omega, read off the shared elimination.
 
-    A forward-echelon row's support weights never exceed its pivot's weight,
-    so rows whose pivot has weight exactly omega, projected to the exact-omega
-    coordinates, reduce the block; everything lower-weight projects away.
+    Its relations are the rows with a weight-omega pivot, projected to the
+    block: lower weights lie below it and project away.  A reduced row's bits
+    lie below its pivot, so the block's table is the whole table on the
+    block's pivots, with the admissible positions below the block shifted out.
     """
     omega = tuple(omega)
     while omega and omega[-1] == 0:  # a weight vector has no trailing zeros
@@ -353,15 +358,12 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     qb = quotient_basis(q, n)
     start, end = _block(q, n, omega)
     # a block below the spike's weight is all hit: it keeps nothing, dim 0
-    kept = _kept_range(start, end, qb.low)
-    bmask = linalg.from_support(kept)
-    by_pivot = qb.echelon.rows_by_pivot()
-    projected = linalg.EchelonBasis(qb.echelon.width)
-    for c in kept:
-        row = by_pivot.get(c)
-        if row is not None:
-            projected.insert(row & bmask)
-    return _make_quotient(q, n, qb.low, projected, start, end, omega)
+    coords = _kept_range(start, end, qb.low)
+    lo = bisect_left(qb.pivots, coords.start)
+    pivots = qb.pivots[lo:bisect_left(qb.pivots, coords.stop)]
+    table, below = qb.table, coords.start - lo  # admissible positions below
+    return QuotientBasis(q, n, qb.low, coords, pivots, omega=omega,
+                         table={p: table[p] >> below for p in pivots})
 
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
@@ -370,8 +372,7 @@ def weight_dimensions(qb: QuotientBasis) -> dict:
     A block's dim is its kept size less the pivots inside it; blocks below
     low have dim 0.
     """
-    pivots = qb.echelon.pivots()
-    out = {}
+    pivots, out = qb.pivots, {}
     for omega, start, end in _blocks(qb.q, qb.n):
         kept = _kept_range(start, end, qb.low)
         out[omega] = len(kept) - (bisect_left(pivots, kept.stop)

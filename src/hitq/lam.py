@@ -16,9 +16,9 @@ convention (i_k <= 2*i_{k+1}) are transcribed here by reversing each word;
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
 
 from .linalg import EchelonBasis, solve_combination, xor_terms
 from .poly import binom2

@@ -10,7 +10,7 @@ elements are frozensets of terms; :func:`xor_terms` is their one GF(2) sum.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 
 
 def xor_terms(terms: Iterable[Hashable]) -> frozenset:
@@ -106,10 +106,6 @@ class EchelonBasis:
     def member(self, v: int) -> bool:
         """True iff v lies in the row space."""
         return self.reduce(v) == 0
-
-    def rows(self) -> list[int]:
-        """Stored rows (forward echelon form)."""
-        return list(self._rows.values())
 
     def rows_by_pivot(self) -> dict[int, int]:
         """Stored forward-echelon rows keyed by pivot."""

@@ -9,9 +9,9 @@ ints suffice everywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable
 
 from .linalg import rank, xor_terms
 

@@ -296,7 +296,7 @@ def test_cache_option_refuses_a_file(tmp_path):
 
 def test_basis_process_imports_only_what_it_runs(tmp_path):
     # -S: no site-packages, so only the interpreter and hitq load modules
-    unwanted = ("click", "dataclasses", "inspect", "concurrent.futures",
+    unwanted = ("click", "dataclasses", "inspect", "typing", "concurrent.futures",
                 "hitq.lam", "hitq.dual", "hitq.transfer", "hitq.action")
     code = ("import sys\nfrom hitq.cli import main\nmain(sys.argv[1:])\n"
             f"print(sorted(set({unwanted!r}) & set(sys.modules)))")

@@ -8,7 +8,7 @@ import pytest
 
 import fixtures
 import oracles
-from hitq import action, dual, hit, poly
+from hitq import action, dual, hit, linalg, poly
 
 
 def test_dual_sq_zero_is_identity():
@@ -65,7 +65,7 @@ def test_primitive_basis_elements_are_primitive_and_independent():
 
 
 def test_primitive_basis_matches_dual_sq_oracle():
-    # the annihilator of the hit echelon against the kernel of the dual
+    # the annihilator of the hit relations against the kernel of the dual
     # Sq^{2^i} functionals; the coordinate orders differ, so compare spans
     for q, top in ((2, 20), (3, 20), (4, 24)):
         for n in range(1, top + 1):
@@ -74,6 +74,21 @@ def test_primitive_basis_matches_dual_sq_oracle():
             want = [sum(1 << idx[m] for m in p) for p in oracles.primitive_basis(q, n)]
             assert len(got) == len(want) == oracles.rank2(want), (q, n)
             assert oracles.rank2(got + want) == len(got), (q, n)
+
+
+def test_annihilator_is_the_kernel_of_the_forward_rows():
+    # the transposed table against linalg.kernel_basis of the forward rows,
+    # read back from each degree's cache file: the same canonical tuple
+    degrees = ([(3, n) for n in range(31)] + [(4, n) for n in range(47)]
+               + [(5, n) for n in range(21)])
+    for q, n in degrees:
+        space = hit.quotient_basis(q, n)
+        lines = hit._cache_path(q, n).read_bytes().splitlines()[1:]
+        rows = [linalg.from_support(map(int, line.split())) for line in lines]
+        src = hit.kept_monomials(q, n, space.low)
+        want = tuple(frozenset(src[c] for c in linalg.support(v))
+                     for v in linalg.kernel_basis(rows, len(space.coords)))
+        assert dual._annihilator(space) == want, (q, n)
 
 
 def test_primitive_basis_reads_a_cached_quotient(tmp_path, monkeypatch):

@@ -28,8 +28,8 @@ def test_frozen_oracle_table_is_live():
 
 def _pivots(space):
     """Pivots of a QuotientBasis in full coordinates: the hit coordinates
-    below low, then the echelon's pivots shifted up by low."""
-    return [*range(space.low), *(p + space.low for p in space.echelon.pivots())]
+    below low, then the quotient's pivots shifted up by low."""
+    return [*range(space.low), *(p + space.low for p in space.pivots)]
 
 
 def _full_pivots(q, n):
@@ -104,9 +104,10 @@ def test_hit_subspace_builds_no_source_universe(tmp_path, monkeypatch):
     assert poly.monomials.cache_info().currsize == 0
 
 
-def test_elimination_and_cache_load_go_through_insert(tmp_path, monkeypatch):
+def test_elimination_goes_through_insert_and_cache_load_does_not(
+        tmp_path, monkeypatch):
     # the benchmark traces EchelonBasis.insert per layer, so a cold build
-    # and a cache load must both insert through it
+    # inserts through it; a cache load builds no row and inserts nothing
     monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
     verdicts = []
     insert = linalg.EchelonBasis.insert
@@ -118,12 +119,58 @@ def test_elimination_and_cache_load_go_through_insert(tmp_path, monkeypatch):
 
     monkeypatch.setattr(linalg.EchelonBasis, "insert", counting)
     hs = hit.hit_subspace(4, 21)
-    assert len(verdicts) > sum(verdicts) == hs.echelon.rank > 0
+    assert len(verdicts) > sum(verdicts) == len(hs.pivots) > 0
     hit.quotient_basis(4, 21)
     verdicts.clear()
     qb = hit._load_cached(4, 21)
-    assert verdicts == [True] * qb.echelon.rank
-    assert qb.echelon.rows_by_pivot() == hs.echelon.rows_by_pivot()
+    assert (qb.pivots, qb.table) == (hs.pivots, hs.table)
+    assert verdicts == []
+
+
+# the degrees of the normal-form table oracles
+ORACLE_DEGREES = ([(3, n) for n in range(31)] + [(4, n) for n in range(47)]
+                  + [(5, n) for n in range(21)])
+
+
+def test_table_is_the_free_part_of_rref():
+    # the one-pass table against EchelonBasis.rref of the stream's forward
+    # rows, eliminated here apart from hit_subspace
+    for q, n in ORACLE_DEGREES:
+        qb = hit.quotient_basis(q, n)
+        low = hit._low(q, n)
+        eb = linalg.EchelonBasis(hit._width(q, n) - low)
+        for v in hit._generator_stream(q, n, low):
+            eb.insert(v)
+        assert eb.pivots() == qb.pivots, (q, n)
+        reduced = eb.rref()
+        free = [c for c in range(eb.width) if c not in reduced]
+        assert qb.admissible == tuple(
+            hit.kept_monomials(q, n, low)[c] for c in free), (q, n)
+        want = {p: linalg.from_support(k for k, c in enumerate(free) if row >> c & 1)
+                for p, row in reduced.items()}
+        assert qb.table == want, (q, n)
+
+
+def _refuse(*args):
+    raise AssertionError("a cache load built a row as an int")
+
+
+def test_loaded_basis_equals_a_fresh_one(tmp_path, monkeypatch):
+    # pivots, admissible monomials and table; the load and its table build
+    # call neither from_support nor insert, and every entry has <= dim bits
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    for q, n in ORACLE_DEGREES:
+        fresh = hit.hit_subspace(q, n)
+        hit._save_cached(fresh)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "from_support", _refuse)
+            m.setattr(linalg.EchelonBasis, "insert", _refuse)
+            loaded = hit._load_cached(q, n)
+            table = loaded.table
+        assert loaded.pivots == fresh.pivots, (q, n)
+        assert loaded.admissible == fresh.admissible, (q, n)
+        assert table == fresh.table, (q, n)
+        assert all(v >> loaded.dim == 0 for v in table.values()), (q, n)
 
 
 def test_wood_engine_where_every_monomial_is_hit():
@@ -273,17 +320,16 @@ def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
     fresh = hit.quotient_basis(q, n)
     loaded = hit._load_cached(q, n)
     for space in (fresh, loaded):
-        eb = space.echelon
-        assert (space.low, space.low + eb.width) == (low, len(uni))
-        # stored rows are over the kept coordinates: none reaches past them
-        assert all(r.bit_length() == p + 1 <= eb.width
-                   for p, r in eb.rows_by_pivot().items())
+        assert (space.low, space.low + len(space.coords)) == (low, len(uni))
+        # the pivots are kept coordinates, and no table entry exceeds dim bits
+        assert space.pivots[-1] < len(space.coords)
+        assert all(v >> space.dim == 0 for v in space.table.values())
         assert _pivots(space)[:low] == list(range(low))
-    assert loaded.echelon.rows_by_pivot() == fresh.echelon.rows_by_pivot()
+    assert (loaded.pivots, loaded.table) == (fresh.pivots, fresh.table)
     meta, rows = _split(hit._cache_path(q, n).read_bytes())
     assert (meta["width"], meta["low"], meta["rank"]) == (
-        len(uni), low, low + fresh.echelon.rank)
-    assert len(rows) == fresh.echelon.rank
+        len(uni), low, low + len(fresh.pivots))
+    assert len(rows) == len(fresh.pivots)
 
 
 def test_weight_quotient_rejects_degree_mismatch():
@@ -301,7 +347,7 @@ def test_cache_round_trip():
         qb = hit.quotient_basis(q, n)
         files = list(hit.cache_dir().glob(f"hit-q{q}-n{n}-*"))
         assert len(files) == 1 and "v3" in files[0].name, files
-        assert len(_split(files[0].read_bytes())[1]) == qb.echelon.rank
+        assert len(_split(files[0].read_bytes())[1]) == len(qb.pivots)
         hit._QCACHE.pop((hit.cache_dir(), q, n))
         loaded = hit.quotient_basis(q, n)
         assert loaded is not qb
@@ -449,6 +495,25 @@ def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
     assert _pivots(hit.quotient_basis(q, n)) == fresh
     # the rebuild rewrote a good file, and only the v3 file is read
     assert _pivots(hit._load_cached(q, n)) == fresh
+
+
+def test_rows_out_of_order_are_a_miss(tmp_path, monkeypatch):
+    # the writer lists coordinates and rows ascending, and the loader's
+    # one-pass table relies on it: any other order is a miss, and so is a
+    # huge coordinate, before any bit is set at it
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    q, n = 4, 9
+    hit.quotient_basis(q, n)
+    path = hit._cache_path(q, n)
+    meta, rows = _split(path.read_bytes())
+    k = next(i for i, r in enumerate(rows) if len(r) > 1)
+    for bad in (rows[:k] + [rows[k][::-1]] + rows[k + 1:],  # a row descends
+                rows[:k] + [[10 ** 12] + rows[k]] + rows[k + 1:],
+                rows[1:] + rows[:1]):  # the smallest pivot comes last
+        path.write_bytes(_join(meta, bad))
+        assert hit._load_cached(q, n) is None
+    path.write_bytes(_join(meta, rows))
+    assert hit._load_cached(q, n) is not None
 
 
 def test_any_one_bit_flip_is_a_miss_or_harmless(tmp_path, monkeypatch):

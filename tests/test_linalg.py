@@ -142,7 +142,7 @@ def test_intersection_with_coordinate_subspace(gens, allowed):
         assert span.member(row)
         assert row & ~allowed == 0
     # brute force: enumerate the whole span (rank <= 8 here)
-    basis = span.rows()
+    basis = list(span.rows_by_pivot().values())
     expected = set()
     for mask in range(1 << len(basis)):
         v = 0
