@@ -23,14 +23,17 @@ The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
 monomial u lies in Sq^{2^i}(m) exactly when m_j = u_j - t_j with
 binom2(u_j - t_j, t_j) odd and sum t_j = 2^i (the rule of the right action
-in :mod:`dual`).  Each source (i, m) found this way collects the bits of
-its kept terms, and the sources are sorted by one int key: i, then the
-packed weight of m (``poly.weight_key`` with n's bit length, which orders
-every degree <= n as that degree's own key does), then m's exponents
-left-lexicographically.  That is the coordinate order of degree n - 2^i
-for each i in turn, so the vectors inserted, and their order, are those of
-the plain Sq^{2^i}(m) images projected, shifted and with zeros dropped, and
-no source-degree universe is built.
+in :mod:`dual`).  Each source (i, m) found this way collects the coordinates
+of its kept terms under one int key: i, then the packed weight of m
+(``poly.weight_key`` with n's bit length, which orders every degree <= n as
+that degree's own key does), then m's exponents left-lexicographically, the
+coordinate order of degree n - 2^i for each i in turn.  A left-lex run of u
+shares the splits of all but its last two places, and the last place is a
+lookup of 2^i - t.  The kept coordinates are walked from the top down, so
+the first u to reach a source is its top: the vectors are the plain
+Sq^{2^i}(m) images projected, shifted, zeros dropped and stably sorted by
+pivot, so one whose top is no pivot yet is stored unreduced.  Each is built
+as it is yielded, and no source-degree universe is built.
 
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega.  It holds no echelon, only its pivots and a normal-form
@@ -145,37 +148,53 @@ def _kept_index(q: int, n: int, low: int) -> dict:
 
 
 def _generator_stream(q: int, n: int, low: int = 0):
-    """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, in that order,
-    projected onto the coordinates [low, width) and shifted down by low; low
-    starts a block.
-
-    Built from the kept coordinates u (see the module docstring): every
-    source (i, m) with u in Sq^{2^i}(m) gets bit c(u), under an int key that
-    sorts the sources in stream order.
+    """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, projected
+    onto the coordinates [low, width) and shifted down by low; low starts a
+    block.  By ascending top coordinate, then i, then m's coordinate in degree
+    n - 2^i; built from the kept coordinates (see the module docstring).
     """
     kept = kept_monomials(q, n, low)
     top = n.bit_length()
     lex = (n + 1) ** q
     wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
     # per place j and exponent a: (t_j, key share of m_j = a - t_j) for every
-    # t_j with binom2(a - t_j, t_j) odd
-    shares = [[[(t, wkey((a - t,)) * lex + (a - t) * (n + 1) ** (q - 1 - j))
-                for t in range(a // 2 + 1) if (a - t) & t == t]
-               for a in range(n + 1)] for j in range(q)]
+    # t_j with binom2(a - t_j, t_j) odd, after a neutral place so that q = 1
+    # has a second-to-last one
+    *head, mid, last = [((0, 0),)], *(
+        [[(t, wkey((a - t,)) * lex + (a - t) * (n + 1) ** (q - 1 - j))
+          for t in range(a // 2 + 1) if (a - t) & t == t]
+         for a in range(n + 1)] for j in range(q))
+    last = [dict(shares) for shares in last]  # a -> {t_last: share}
     tmax = 1 << top >> 1  # the largest 2^i <= n
     per_i = (q + 1) ** top * lex  # weight keys stay below (q+1)^top
-    sources: dict = {}
-    for c, u in enumerate(kept):
-        splits = [(0, 0)]  # (t so far, key so far) per partial source
-        for table, a in zip(shares, u):
-            splits = [(t + s, key + share) for t, key in splits
-                      for s, share in table[a] if t + s <= tmax]
-        for t, key in splits:
-            if t and not t & (t - 1):
-                key += (t.bit_length() - 1) * per_i
-                sources.setdefault(key, []).append(c)
-    for key in sorted(sources):
-        yield linalg.from_support(sources[key])
+    # per partial sum t: (2^i - t, key share of i) for every 2^i >= t
+    powers = [[((1 << i) - t, i * per_i) for i in range(top) if 1 << i >= t]
+              for t in range(tmax + 1)]
+    sources, run = {}, None  # source key -> its coordinates, descending
+    for c in reversed(range(len(kept))):
+        *prefix, a, b = 0, *kept[c]
+        if prefix != run:  # a left-lex run: the same places before the last two
+            run, splits = prefix, [(0, 0)]  # (t so far, key so far)
+            for table, e in zip(head, prefix):
+                splits = [(t + s, key + share) for t, key in splits
+                          for s, share in table[e] if t + s <= tmax]
+        tail, fresh = last[b], []
+        for t, key in [(t + s, key + share) for t, key in splits
+                       for s, share in mid[a] if t + s <= tmax]:
+            for rest, i_share in powers[t]:
+                share = tail.get(rest)
+                if share is not None:
+                    source = key + share + i_share
+                    support = sources.get(source)
+                    if support is None:
+                        fresh.append(source)
+                    else:
+                        support.append(c)
+        fresh.sort(reverse=True)  # so that popitem drains them ascending
+        for key in fresh:  # [c] would take 8 slots at its second append, not 4
+            sources.setdefault(key, []).append(c)
+    while sources:
+        yield linalg.from_support(sources.popitem()[1])
 
 
 def hit_subspace(q: int, n: int) -> QuotientBasis:

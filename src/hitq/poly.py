@@ -133,11 +133,11 @@ def order_key(m: Monomial):
 def weight_key(q: int, n: int):
     """Int sort key on monomials of degree <= n in q variables, ordered as their weights.
 
-    The key of the hit engine's Sq^{2^i} source stream.  Bit b of an
-    exponent adds (q+1)^(L-1-b), L = n.bit_length(): summed over the q
-    exponents each digit is a weight entry (at most q), so the key packs the
-    weight vector with omega_1 most significant, and equal keys mean equal
-    weights.
+    In the hit engine's Sq^{2^i} stream it names a source and orders the
+    sources that share a top coordinate.  Bit b of an exponent adds
+    (q+1)^(L-1-b), L = n.bit_length(): summed over the q exponents each digit
+    is a weight entry (at most q), so the key packs the weight vector with
+    omega_1 most significant, and equal keys mean equal weights.
     """
     top = n.bit_length()
     packed = [sum((q + 1) ** (top - 1 - b) for b in range(top) if a >> b & 1)
