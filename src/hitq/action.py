@@ -2,7 +2,9 @@
 
 Generators act by linear substitution on representatives and reduce back to
 basis coordinates; invariants are the simultaneous kernel of the matrices
-M_g + I (fixed points of the generators are fixed points of the group).
+M_g + I (fixed points of the generators are fixed points of the group).  The
+invariants of the Kameko kernel are one kernel too: the Kameko map's rows
+stacked with those of every M_g + I.
 """
 
 from __future__ import annotations
@@ -68,36 +70,14 @@ def invariant_subspace(space, gens) -> list:
 
 
 def kernel_invariants(q: int, n: int, gens) -> list:
-    """Invariants of the Kameko kernel inside Q^q_n (admissible coordinates)."""
-    kernel = hit.kameko_kernel(q, n)
-    if not kernel:
-        return []
+    """Invariants of the Kameko kernel inside Q^q_n (admissible coordinates):
+    Ker^G is the intersection of Ker and Q^G, so the common kernel of the
+    Kameko rows and every M_g + I."""
     space = hit.quotient_basis(q, n)
-    k = len(kernel)
-    restricted = []
+    rows = hit._kameko_rows(q, n)
     for g in gens:
-        cols = []
-        for v in kernel:
-            image = space.reduce_vec(
-                poly.linear_substitute(g, space.poly_of_vec(v))
-            )
-            comb = linalg.solve_combination(kernel, image)
-            if comb is None:
-                raise RuntimeError(
-                    f"Kameko kernel is not stable under the action at (q={q}, n={n})"
-                )
-            cols.append(comb)
-        restricted.append(cols)
-    rows: list = []
-    for cols in restricted:
-        rows.extend(_fixed_point_rows(cols, k))
-    out = []
-    for w in linalg.kernel_basis(rows, k):
-        v = 0
-        for j in linalg.support(w):
-            v ^= kernel[j]
-        out.append(v)
-    return out
+        rows.extend(_fixed_point_rows(action_matrix(g, space), space.dim))
+    return linalg.kernel_basis(rows, space.dim)
 
 
 __all__ = [

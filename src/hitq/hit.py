@@ -401,22 +401,24 @@ def weight_dimensions(qb: QuotientBasis) -> dict:
 
 # --- Kameko kernel ----------------------------------------------------------------
 
-def kameko_kernel(q: int, n: int) -> list:
-    """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
+def _kameko_rows(q: int, n: int) -> list:
+    """The nonzero rows of the Kameko down map Q^q_n -> Q^q_{(n-q)/2},
+    x_i^{2a_i+1} -> x_i^{a_i}, over the admissible basis of Q^q_n."""
     if (n - q) % 2 or n < q:
         raise ValueError(f"Kameko down map undefined at (q={q}, n={n})")
-    nd = (n - q) // 2
-    src = quotient_basis(q, n)
-    tgt = quotient_basis(q, nd)
-    columns = []
-    for m in src.admissible:
-        d = poly.kameko_down(m)
-        columns.append(tgt.reduce_vec(frozenset({d})) if d is not None else 0)
+    src, tgt = quotient_basis(q, n), quotient_basis(q, (n - q) // 2)
     rows = [0] * tgt.dim
-    for i, col in enumerate(columns):
-        for c in linalg.support(col):
-            rows[c] |= 1 << i
-    return linalg.kernel_basis([r for r in rows if r], src.dim)
+    for i, m in enumerate(src.admissible):
+        d = poly.kameko_down(m)
+        if d is not None:
+            for c in linalg.support(tgt.reduce_vec(frozenset({d}))):
+                rows[c] |= 1 << i
+    return [r for r in rows if r]
+
+
+def kameko_kernel(q: int, n: int) -> list:
+    """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
+    return linalg.kernel_basis(_kameko_rows(q, n), quotient_basis(q, n).dim)
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 from .linalg import EchelonBasis, solve_combination, xor_terms
 from .poly import binom2
@@ -36,11 +36,6 @@ def element(words: Iterable[Word]) -> Element:
 
 def add(*es: Element) -> Element:
     return xor_terms(chain.from_iterable(es))
-
-
-def is_admissible(w: Word) -> bool:
-    """True when 2*i_k >= i_{k+1} for every adjacent pair."""
-    return all(2 * w[k] >= w[k + 1] for k in range(len(w) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -210,28 +205,8 @@ def _theta_pow(e: Element, t: int) -> Element:
 
 def _h_multisets(slots: int, total: int):
     """Weakly descending tuples of 2^e - 1 letters with the given sum."""
-    if slots == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def extend(prefix: list, rest: int, hi: int):
-        k = slots - len(prefix)
-        if k == 0:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        for e in range(hi, -1, -1):
-            v = (1 << e) - 1
-            if v > rest:
-                continue
-            if v * k < rest:  # later letters are <= v, can't reach the sum
-                break
-            prefix.append(v)
-            extend(prefix, rest - v, e)
-            prefix.pop()
-
-    extend([], total, total.bit_length() + 1)
-    return out
+    letters = [(1 << e) - 1 for e in reversed(range(total.bit_length() + 1))]
+    return [c for c in combinations_with_replacement(letters, slots) if sum(c) == total]
 
 
 def _h_name(letters: Word) -> str:
@@ -315,7 +290,6 @@ __all__ = [
     "ZERO",
     "element",
     "add",
-    "is_admissible",
     "normalize",
     "multiply",
     "differential",

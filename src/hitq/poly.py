@@ -44,10 +44,6 @@ def binom2(a: int, b: int) -> int:
     return 0 if (a - b) & b else 1
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def poly(terms: Iterable[Monomial]) -> Polynomial:
     """Polynomial from terms with GF(2) cancellation of duplicates."""
     return xor_terms(map(tuple, terms))
@@ -121,15 +117,6 @@ def weight_degree(w: WeightVector) -> int:
     return sum(x << i for i, x in enumerate(w))
 
 
-def order_key(m: Monomial):
-    """Sort key for the monomial order: weight left-lex, then exponents left-lex.
-
-    Weights of equal degree are never prefixes of one another, so plain tuple
-    comparison realizes the left-lexicographic order.
-    """
-    return (weight_of(m), m)
-
-
 def weight_key(q: int, n: int):
     """Int sort key on monomials of degree <= n in q variables, ordered as their weights.
 
@@ -199,43 +186,22 @@ def monomials(q: int, n: int) -> tuple:
         block_monomials(q, omega) for omega in weight_vectors(q, n)))
 
 
-def is_spike(m: Monomial) -> bool:
-    """True when every exponent is of the form 2^k - 1."""
-    return all(a & (a + 1) == 0 for a in m)
-
-
 def minimal_spike(q: int, n: int):
     """The minimal spike of degree n in q variables, or None when mu(n) > q.
 
-    Exponents are 2^xi - 1 with xi_1 > xi_2 > ... > xi_{m-1} >= xi_m >= 1 and
-    m = mu(n); returned with exponents descending, padded with zeros.
+    With m = mu(n), take the binary powers of n + m and halve the smallest
+    until there are m of them; the exponents are 2^d - 1 for those powers 2^d,
+    so d_1 > ... > d_{m-1} >= d_m.  Descending, padded with zeros.
     """
-    if n == 0:
-        return (0,) * q
     m = mu(n)
     if m > q:
         return None
-
-    def pick(slots: int, rest: int, cap: int):
-        # choose xi for the next slot, greedily largest, honoring the
-        # strict-descent-until-last-two shape
-        if slots == 0:
-            return [] if rest == 0 else None
-        hi = min(cap, rest.bit_length())
-        for xi in range(hi, 0, -1):
-            val = (1 << xi) - 1
-            if val > rest:
-                continue
-            nxt_cap = xi if slots == 2 else xi - 1
-            tail = pick(slots - 1, rest - val, nxt_cap)
-            if tail is not None:
-                return [xi] + tail
-        return None
-
-    xs = pick(m, n, n.bit_length() + 1)
-    assert xs is not None, (q, n)
-    exps = [(1 << xi) - 1 for xi in xs] + [0] * (q - m)
-    return tuple(exps)
+    total = n + m
+    powers = [1 << b for b in reversed(range(total.bit_length())) if total >> b & 1]
+    while len(powers) < m:
+        half = powers.pop() >> 1
+        powers += [half, half]
+    return tuple(p - 1 for p in powers) + (0,) * (q - m)
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +265,8 @@ def linear_substitute(g, f: Polynomial) -> Polynomial:
     return xor_terms(out)
 
 
-def kameko_up(m: Monomial) -> Monomial:
-    """Exponentwise a -> 2a + 1 (multiply by x_1...x_q and square)."""
-    return tuple(2 * a + 1 for a in m)
-
-
 def kameko_down(m: Monomial):
-    """Inverse of kameko_up on all-odd monomials, None otherwise."""
+    """Exponentwise 2a + 1 -> a on all-odd monomials, None otherwise."""
     if any(a % 2 == 0 for a in m):
         return None
     return tuple((a - 1) // 2 for a in m)
@@ -318,22 +279,18 @@ __all__ = [
     "alpha",
     "mu",
     "binom2",
-    "degree",
     "poly",
     "add",
     "sq",
     "sq_monomial",
     "weight_of",
     "weight_degree",
-    "order_key",
     "weight_key",
     "weight_vectors",
     "block_size",
     "block_monomials",
     "monomials",
-    "is_spike",
     "minimal_spike",
     "linear_substitute",
-    "kameko_up",
     "kameko_down",
 ]

@@ -37,17 +37,13 @@ def psi(q: int, e) -> lam.Element:
     return lam.add(*map(_psi_orders, terms))
 
 
-def transfer_class(e, q: int | None = None):
+def transfer_class(e, q: int):
     """Normalized cycle of psi(e) with its catalog identification.
 
     e must be primitive; a nonzero differential would contradict the fact
     that psi carries primitives to cycles, so it raises immediately.
     """
     e = dual.dual_element(e)
-    if q is None:
-        if not e:
-            return lam.ZERO, ()
-        q = len(next(iter(e)))
     if not dual.is_primitive(e):
         raise ValueError("transfer_class requires a primitive dual element")
     z = lam.normalize(psi(q, e))
@@ -67,10 +63,6 @@ class TransferReport:
         self.generators = generators  # (dual element, cycle, identification)
         self.image = image  # names of identified classes, deterministic order
         self.unidentified = unidentified  # generators outside the catalog span
-
-    @property
-    def bidegree(self) -> tuple:
-        return (self.q, self.q + self.n)
 
 
 def transfer_image_report(q: int, n: int) -> TransferReport:

@@ -5,7 +5,8 @@ naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
 elimination over lexicographically ordered monomials, a batch
 all-generators hit-space construction, the literal subspace-intersection
 route to the weight blocks, the primitives as the common kernel of the
-dual Sq^{2^i} functionals, and a text rendering of lambda elements.
+dual Sq^{2^i} functionals, the least weight of a spike by trying every
+tuple, and a text rendering of lambda elements.
 Nothing imports hitq.
 """
 
@@ -230,6 +231,14 @@ def weight_vector(m: Mono) -> tuple:
     return tuple(sum((a >> j) & 1 for a in m) for j in range(top))
 
 
+def minimal_spike_weight(q: int, n: int):
+    """The least weight vector of a degree-n spike in q variables (every
+    exponent 2^k - 1), or None when there is none; by trying every tuple."""
+    values = [2 ** k - 1 for k in range(n.bit_length() + 1)]
+    return min((weight_vector(m) for m in itertools.product(values, repeat=q)
+                if sum(m) == n), default=None)
+
+
 def weight_block_dimension(q: int, n: int, omega: tuple) -> int:
     """dim (Q^q_n)^omega by the literal subspace-intersection route.
 
@@ -269,6 +278,7 @@ __all__ = [
     "hit_membership",
     "intersect_coordinate_subspace",
     "kernel",
+    "minimal_spike_weight",
     "naive_sq",
     "one_variable_dimension",
     "primitive_basis",

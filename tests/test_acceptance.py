@@ -182,13 +182,13 @@ def test_criterion_08_lambda_algebra_properties():
 def test_criterion_09_transfer_identifications():
     t0 = time.monotonic()
     # degree 9: the four-term generator and its componentwise expansions
-    z1, names1 = transfer.transfer_class(dual.dual_element(fixtures.ZETA1))
+    z1, names1 = transfer.transfer_class(dual.dual_element(fixtures.ZETA1), 4)
     assert names1 == ("h_1c_0",)
     for term, display_words in fixtures.PSI_COMPONENTS.items():
         got = lam.normalize(transfer.psi(4, dual.dual_element([term])))
         assert got == lam.normalize(lam.from_display(display_words)), term
     # degree 17: e_0, certified by the explicit witness chain
-    z17, names17 = transfer.transfer_class(dual.dual_element(fixtures.ZETA17))
+    z17, names17 = transfer.transfer_class(dual.dual_element(fixtures.ZETA17), 4)
     assert names17 == ("e_0",)
     e0 = lam.from_display(fixtures.E0_DISPLAY)
     witness = lam.from_display(fixtures.WITNESS_DISPLAY)

@@ -95,7 +95,8 @@ def test_action_matrices_compose_as_a_right_action():
 
 
 def test_kernel_invariants_is_the_exact_intersection():
-    for q, n in ((3, 9), (4, 10)):
+    dims = {}
+    for q, n in ((3, 9), (4, 10), (4, 14), (5, 15)):
         qb = hit.quotient_basis(q, n)
         gens = action.gl_generators(q)
         inv = action.invariant_subspace(qb, gens)
@@ -113,3 +114,20 @@ def test_kernel_invariants_is_the_exact_intersection():
         both = oracles.rank2(list(inv) + list(kker))
         want_dim = len(inv) + len(kker) - both
         assert oracles.rank2(list(got)) == len(got) == want_dim
+        dims[q, n] = want_dim
+    assert dims == {(3, 9): 0, (4, 10): 0, (4, 14): 1, (5, 15): 2}
+
+
+def test_kameko_kernel_is_gl_stable():
+    # each generator maps the Kameko kernel into itself
+    for q, n in ((4, 10), (4, 22), (5, 15)):
+        qb = hit.quotient_basis(q, n)
+        kernel = hit.kameko_kernel(q, n)
+        assert kernel, (q, n)
+        span = linalg.EchelonBasis(qb.dim)
+        for v in kernel:
+            span.insert(v)
+        for g in action.gl_generators(q):
+            for v in kernel:
+                image = qb.reduce_vec(poly.linear_substitute(g, qb.poly_of_vec(v)))
+                assert span.member(image), (q, n)

@@ -77,7 +77,7 @@ def test_weight_of_examples():
 
 def _check_monomial_order(q, n):
     ms = poly.monomials(q, n)
-    assert list(ms) == sorted(ms, key=poly.order_key), (q, n)
+    assert list(ms) == sorted(ms, key=lambda m: (poly.weight_of(m), m)), (q, n)
     # the packed key that sorted them separates exactly the distinct weights
     key = poly.weight_key(q, n)
     assert all((key(a) == key(b)) == (poly.weight_of(a) == poly.weight_of(b))
@@ -99,17 +99,21 @@ def test_monomial_order_at_large_degrees():
 
 
 def test_minimal_spike_properties():
-    for q, n in ((4, 9), (4, 17), (4, 21), (3, 7), (2, 3)):
-        sp = poly.minimal_spike(q, n)
-        assert poly.is_spike(sp) and sum(sp) == n
-    # a spike has every exponent of the form 2^k - 1
-    sp = poly.minimal_spike(4, 9)
-    assert all(e == 0 or (e + 1) & e == 0 for e in sp)
+    for q in range(1, 6):
+        for n in range(64):
+            sp, want = poly.minimal_spike(q, n), oracles.minimal_spike_weight(q, n)
+            assert (sp is None) == (want is None), (q, n)
+            if sp is not None:
+                assert len(sp) == q and sum(sp) == n, (q, n)
+                assert all((e + 1) & e == 0 for e in sp), (q, n)
+                assert list(sp) == sorted(sp, reverse=True), (q, n)
+                assert poly.weight_of(sp) == want, (q, n)
+    assert poly.minimal_spike(4, 9) == (7, 1, 1, 0)
 
 
 @given(st.tuples(*(st.integers(min_value=0, max_value=10),) * 4))
 def test_kameko_round_trip(m):
-    up = poly.kameko_up(m)
+    up = tuple(2 * a + 1 for a in m)
     assert sum(up) == 2 * sum(m) + 4
     assert all(e % 2 == 1 for e in up)
     assert poly.kameko_down(up) == m

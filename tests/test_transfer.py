@@ -41,17 +41,17 @@ def test_psi_rejects_wrong_arity():
 
 def test_transfer_class_requires_a_primitive():
     with pytest.raises(ValueError):
-        transfer.transfer_class(dual.dual_element([(2, 0, 0, 0)]))
+        transfer.transfer_class(dual.dual_element([(2, 0, 0, 0)]), 4)
 
 
 def test_transfer_class_of_the_degree_9_generator():
-    z, names = transfer.transfer_class(dual.dual_element(fixtures.ZETA1))
+    z, names = transfer.transfer_class(dual.dual_element(fixtures.ZETA1), 4)
     assert not lam.differential(z)
     assert names == ("h_1c_0",)
 
 
 def test_transfer_class_of_the_degree_17_generator():
-    z, names = transfer.transfer_class(dual.dual_element(fixtures.ZETA17))
+    z, names = transfer.transfer_class(dual.dual_element(fixtures.ZETA17), 4)
     assert names == ("e_0",)
     # the recorded witness chain certifies z = e_0 on the nose
     e0 = lam.from_display(fixtures.E0_DISPLAY)
@@ -66,7 +66,7 @@ def test_transfer_class_of_spike_families():
     for s in (1, 2, 3):
         b = 2 ** (s + 1) - 1
         z, names = transfer.transfer_class(
-            dual.dual_element(fixtures.spike_primitive(s)))
+            dual.dual_element(fixtures.spike_primitive(s)), 4)
         assert z == lam.normalize([(b, b, b, 0)])
         want = "h_0h_{i}^3".format(i=s + 1)
         if names != (want,):
@@ -78,7 +78,6 @@ def test_transfer_class_of_spike_families():
 def test_transfer_report_shapes():
     rep = transfer.transfer_image_report(4, 9)
     assert (rep.q, rep.n) == (4, 9)
-    assert rep.bidegree == (4, 13)
     assert rep.image == ("h_1c_0",)
     assert rep.unidentified == 0
     assert len(rep.generators) == 1
