@@ -51,21 +51,15 @@ def action_matrix(g, space) -> list:
 
 
 def _fixed_point_rows(cols: list, dim: int) -> list:
-    """Rows of M + I from the columns of M."""
-    rows = [0] * dim
-    for c, col in enumerate(cols):
-        col ^= 1 << c
-        for r in linalg.support(col):
-            rows[r] |= 1 << c
+    """Nonzero rows of M + I from the columns of M."""
+    rows = linalg.transpose((col ^ 1 << c for c, col in enumerate(cols)), dim)
     return [r for r in rows if r]
 
 
 def invariant_subspace(space, gens) -> list:
     """Basis vectors (space coordinates) of the common fixed points of gens."""
     dim = space.dim
-    rows: list = []
-    for g in gens:
-        rows.extend(_fixed_point_rows(action_matrix(g, space), dim))
+    rows = [r for g in gens for r in _fixed_point_rows(action_matrix(g, space), dim)]
     return linalg.kernel_basis(rows, dim)
 
 

@@ -82,15 +82,14 @@ def _annihilator(space: hit.QuotientBasis) -> tuple:
 
     They vanish below low, and over the kept coordinates they are the table
     transposed, the canonical (rref) kernel basis: per admissible monomial f,
-    in order, f plus every pivot whose table entry has f's bit.
+    in order, f plus every pivot whose table entry has f's bit.  So each
+    holds exactly one admissible monomial, its own f.
     """
     src = hit.kept_monomials(space.q, space.n, space.low)
-    table = space.table
-    cols = [[f] for f in space.admissible]
-    for p in space.pivots:
-        for k in linalg.support(table[p]):
-            cols[k].append(src[p])
-    return tuple(map(frozenset, cols))
+    table, pivots = space.table, space.pivots
+    cols = linalg.transpose((table[p] for p in pivots), space.dim)
+    return tuple(frozenset([f, *(src[pivots[i]] for i in linalg.support(col))])
+                 for f, col in zip(space.admissible, cols))
 
 
 @lru_cache(maxsize=None)
@@ -115,18 +114,18 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
 
     For each invariant basis class [u_a] of the quotient under `gens`, produce
     a primitive e_a with pairing(e_a, u_b) = delta_ab; the certificate is that
-    pairing row, recomputed from the returned element.
+    pairing row, recomputed from the returned element.  Primitive k holds one
+    admissible monomial, the k-th, and u_b is a sum of admissible ones, so
+    the pairing columns are the invariant vectors transposed.
     """
     space = hit.quotient_basis(q, n)
-    invs = [space.poly_of_vec(v) for v in action.invariant_subspace(space, gens)]
-    if not invs:
+    vecs = action.invariant_subspace(space, gens)
+    if not vecs:
         return []
+    invs = [space.poly_of_vec(v) for v in vecs]
     prims = _annihilator(space)
     # column k: bit b set when primitive k pairs to 1 with invariant b
-    columns = [
-        linalg.from_support(b for b, u in enumerate(invs) if pairing(p, u))
-        for p in prims
-    ]
+    columns = linalg.transpose(vecs, space.dim)
     out = []
     for a in range(len(invs)):
         sol = linalg.solve_combination(columns, 1 << a)

@@ -39,7 +39,8 @@ One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega.  It holds no echelon, only its pivots and a normal-form
 table: pivot p -> [e_p] over the admissible basis, the free part of its
 reduced row, at most dim bits.  A fresh basis builds it on first use, the
-loader as it reads; reducing a polynomial is a XOR of lookups.
+loader as it reads, each entry by :func:`linalg.normal_form`, the one
+reduced form of the GF(2) core; reducing a polynomial is a XOR of lookups.
 
 Each Q^q_n is cached on disk as one atomically written file,
 ``hit-q{q}-n{n}-v3.rows``: a JSON header line (q, n, version, width, low,
@@ -244,7 +245,7 @@ class QuotientBasis:
         if self._table is None:
             table = {}
             for row in self._rows:
-                table[row[-1]] = _normal_form(row, table, self.pivots)
+                table[row[-1]] = linalg.normal_form(row, table, self.pivots)
             self._table, self._rows = table, None
         return self._table
 
@@ -277,20 +278,6 @@ class QuotientBasis:
 
     def poly_of_vec(self, w: int) -> Polynomial:
         return frozenset(self.admissible[k] for k in linalg.support(w))
-
-
-def _normal_form(row: list, table: dict, pivots: list) -> int:
-    """[e_p] for a forward row's pivot p = row[-1], given the table and pivots
-    below p: XOR over the row's other coordinates c of c's entry, or, for an
-    admissible c, its bit.  ValueError unless those c strictly ascend from 0."""
-    v, prev, p = 0, -1, row[-1]
-    for c in row[:-1]:
-        if not prev < c < p:
-            raise ValueError(f"row {row} does not strictly ascend from 0")
-        prev = c
-        r = table.get(c)
-        v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
-    return v
 
 
 _QCACHE: dict = {}
@@ -342,7 +329,7 @@ def _load_cached(q: int, n: int):
             if not row or not top < row[-1] < width - low:
                 return None
             top = row[-1]
-            table[top] = _normal_form(row, table, pivots)  # checks the order
+            table[top] = linalg.normal_form(row, table, pivots)  # checks the order
             pivots.append(top)
         rank = low + len(pivots)
         if [meta["low"], meta["rank"], meta["dim"]] != [low, rank, width - rank]:
@@ -407,13 +394,9 @@ def _kameko_rows(q: int, n: int) -> list:
     if (n - q) % 2 or n < q:
         raise ValueError(f"Kameko down map undefined at (q={q}, n={n})")
     src, tgt = quotient_basis(q, n), quotient_basis(q, (n - q) // 2)
-    rows = [0] * tgt.dim
-    for i, m in enumerate(src.admissible):
-        d = poly.kameko_down(m)
-        if d is not None:
-            for c in linalg.support(tgt.reduce_vec(frozenset({d}))):
-                rows[c] |= 1 << i
-    return [r for r in rows if r]
+    images = (poly.kameko_down(m) for m in src.admissible)
+    cols = [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
+    return [r for r in linalg.transpose(cols, tgt.dim) if r]
 
 
 def kameko_kernel(q: int, n: int) -> list:

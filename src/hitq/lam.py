@@ -42,7 +42,6 @@ def add(*es: Element) -> Element:
 def _pair_rewrite(i: int, j: int) -> tuple:
     """Admissible-pair expansion of the inadmissible pair lambda_i lambda_j."""
     n = j - 2 * i - 1
-    assert n >= 0
     out = []
     for t in range((n - 1) // 2 + 1):
         if binom2(n - 1 - t, t):

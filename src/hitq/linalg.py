@@ -1,15 +1,17 @@
 """Bit-packed linear algebra over GF(2), and GF(2) sums of term sets.
 
 Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
-of a universe of size ``width``.  Addition is XOR.  An :class:`EchelonBasis`
-holds a streaming row-echelon basis of a subspace; pivots are chosen at the
-highest occupied bit position, so the caller controls pivot priority by
-laying out coordinates.  Polynomials, dual elements and lambda-algebra
-elements are frozensets of terms; :func:`xor_terms` is their one GF(2) sum.
+of a universe of size ``width``.  Addition is XOR.  ``EchelonBasis.insert``
+is the one elimination, its pivot the highest occupied bit, so the caller
+sets pivot priority by laying out coordinates; :func:`normal_form` is the one
+reduced form and :func:`transpose` the one transposition.  Polynomials, dual
+elements and lambda-algebra elements are frozensets of terms;
+:func:`xor_terms` is their one GF(2) sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator
 
 
@@ -42,12 +44,36 @@ def support(v: int) -> Iterator[int]:
     return reversed(out)
 
 
+def transpose(vectors: Iterable[int], height: int) -> list:
+    """The height rows of the matrix whose columns are vectors, none with a
+    bit at height or above: bit c of row r is bit r of vectors[c]."""
+    rows = [0] * height
+    for c, v in enumerate(vectors):
+        for r in support(v):
+            rows[r] |= 1 << c
+    return rows
+
+
+def normal_form(row: list, table: dict, pivots: list) -> int:
+    """[e_p] for a forward row's pivot p = row[-1], given the table and pivots
+    below p: XOR over the row's other coordinates c of c's entry, or, for a
+    free c, its bit.  ValueError unless those c strictly ascend from 0."""
+    v, prev, p = 0, -1, row[-1]
+    for c in row[:-1]:
+        if not prev < c < p:
+            raise ValueError(f"row {row} does not strictly ascend from 0")
+        prev = c
+        r = table.get(c)
+        v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
+    return v
+
+
 class EchelonBasis:
     """Streaming row-echelon basis of a GF(2) subspace.
 
     Rows are kept in forward echelon form only (each row's pivot is its
-    highest set bit and pivots are distinct); reduced row-echelon form is
-    produced on demand by :meth:`rref`.
+    highest set bit and pivots are distinct); the reduced form is the
+    normal-form table built on demand by :meth:`table`.
     """
 
     def __init__(self, width: int):
@@ -111,29 +137,13 @@ class EchelonBasis:
         """Stored forward-echelon rows keyed by pivot."""
         return dict(self._rows)
 
-    def rref(self) -> dict[int, int]:
-        """Reduced stored rows keyed by pivot.
-
-        Each returned row is zero at every other pivot.  Processing pivots in
-        ascending position keeps already-cleaned rows clean, so one pass
-        suffices (a forward-echelon row never contains bits above its own
-        pivot).
-        """
-        rows = self._rows
-        clean: dict[int, int] = {}
-        for p in sorted(rows):  # ascending: lower pivots are already clean
-            body = rows[p] ^ (1 << p)
-            fixed = 0
-            while body:
-                b = body.bit_length() - 1
-                row = clean.get(b)
-                if row is None:
-                    fixed |= 1 << b
-                    body ^= 1 << b
-                else:
-                    body ^= row  # clears b, adds only free bits below b
-            clean[p] = (1 << p) | fixed
-        return clean
+    def table(self) -> dict[int, int]:
+        """Pivot p -> the free part of p's reduced row, bit k for the k-th free
+        coordinate: :func:`normal_form` of each stored row, by ascending pivot."""
+        table, pivots = {}, self.pivots()
+        for p in pivots:
+            table[p] = normal_form(list(support(self._rows[p])), table, pivots)
+        return table
 
 
 def rank(rows: Iterable[int], width: int) -> int:
@@ -148,48 +158,36 @@ def kernel_basis(rows: Iterable[int], width: int) -> list[int]:
     """Basis of {x : every row r has parity(r & x) = 0}.
 
     Rows are linear functionals on the width-coordinate space; the kernel has
-    dimension width - rank(rows).
+    dimension width - rank(rows).  Per free coordinate f, ascending: f plus
+    every pivot whose reduced row has f's bit, the table transposed.
     """
     eb = EchelonBasis(width)
     for r in rows:
         eb.insert(r)
-    reduced = eb.rref()
-    # transpose: free coordinate f -> pivots whose reduced row contains f
-    cols: dict[int, list[int]] = {}
-    for p, row in reduced.items():
-        for f in support(row ^ (1 << p)):
-            cols.setdefault(f, []).append(p)
-    return [(1 << f) | from_support(cols.get(f, ()))
-            for f in range(width) if f not in reduced]
+    table = eb.table()
+    pivots, free = list(table), [c for c in range(width) if c not in table]
+    return [(1 << f) | from_support(pivots[i] for i in support(col))
+            for f, col in zip(free, transpose(table.values(), len(free)))]
 
 
 def solve_combination(targets: Iterable[int], rhs: int) -> int | None:
     """Mask c with XOR of targets[k] over set bits k of c equal to rhs, or None.
 
-    Elimination tracks which inputs built each row, so the returned mask
-    selects an actual sub-collection; dependent targets never appear in it.
+    Target k goes into one :class:`EchelonBasis` as ``v << size | 1 << k``: a
+    row's low bits record what it sums, and a dependent target k leaves a row
+    with pivot k.  So ``rhs << size`` reduces to the unique mask over the
+    independent targets, with no bit at size or above iff rhs is in the span.
     """
-    rows: dict[int, tuple[int, int]] = {}
+    targets = list(targets)
+    size = len(targets)
+    width = max((v.bit_length() for v in targets), default=0)
+    if rhs >> width:
+        return None
+    eb = EchelonBasis(width + size)
     for k, v in enumerate(targets):
-        c = 1 << k
-        while v:
-            p = v.bit_length() - 1
-            if p in rows:
-                rv, rc = rows[p]
-                v ^= rv
-                c ^= rc
-            else:
-                rows[p] = (v, c)
-                break
-    v, c = rhs, 0
-    while v:
-        p = v.bit_length() - 1
-        if p not in rows:
-            return None
-        rv, rc = rows[p]
-        v ^= rv
-        c ^= rc
-    return c
+        eb.insert(v << size | 1 << k)
+    c = eb.reduce(rhs << size)
+    return None if c >> size else c
 
 
 __all__ = [
@@ -197,6 +195,8 @@ __all__ = [
     "xor_terms",
     "from_support",
     "support",
+    "transpose",
+    "normal_form",
     "rank",
     "kernel_basis",
     "solve_combination",

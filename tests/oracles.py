@@ -2,11 +2,11 @@
 
 Everything here is written from first principles with stdlib tools only:
 naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
-elimination over lexicographically ordered monomials, a batch
-all-generators hit-space construction, the literal subspace-intersection
-route to the weight blocks, the primitives as the common kernel of the
-dual Sq^{2^i} functionals, the least weight of a spike by trying every
-tuple, and a text rendering of lambda elements.
+elimination over lexicographically ordered monomials, Gauss-Jordan on int
+rows, a batch all-generators hit-space construction, the literal
+subspace-intersection route to the weight blocks, the primitives as the
+common kernel of the dual Sq^{2^i} functionals, the least weight of a spike
+by trying every tuple, and a text rendering of lambda elements.
 Nothing imports hitq.
 """
 
@@ -123,6 +123,36 @@ def rank2(rows: list) -> int:
         if r:
             basis.append(r)
     return len(basis)
+
+
+def rref(rows) -> dict:
+    """Reduced row-echelon form of int-bitmask rows by Gauss-Jordan, pivots
+    at the HIGHEST set bits: pivot -> reduced row, zero at every other pivot.
+
+    Forward elimination first; then each row, by ascending pivot, walks its
+    bits below the pivot from the top down and XORs in the already reduced
+    row at each lower pivot it meets, which touches no bit above that pivot.
+    """
+    pivots: dict = {}
+    for r in rows:
+        while r:
+            p = r.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = r
+                break
+            r ^= pivots[p]
+    clean: dict = {}
+    for p in sorted(pivots):
+        rest, out = pivots[p] ^ (1 << p), 1 << p
+        while rest:
+            c = rest.bit_length() - 1
+            if c in clean:
+                rest ^= clean[c]
+            else:
+                out |= 1 << c
+                rest ^= 1 << c
+        clean[p] = out
+    return clean
 
 
 def intersect_coordinate_subspace(gens, width: int, allowed: int) -> list:
@@ -283,6 +313,7 @@ __all__ = [
     "one_variable_dimension",
     "primitive_basis",
     "rank2",
+    "rref",
     "unvectorize",
     "vectorize",
     "weight_block_dimension",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import importlib
@@ -261,6 +262,14 @@ def test_traced_spans_and_exports_resolve():
         module = importlib.import_module(f"hitq.{info.name}")
         for name in module.__all__:
             assert hasattr(module, name), (info.name, name)
+
+
+def test_library_has_no_assert_statements():
+    # bad input raises a real exception: python -O drops every assert
+    for path in sorted(Path(hitq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (path.name, lines)
 
 
 COMMAND_OPTIONS = {

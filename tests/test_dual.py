@@ -77,17 +77,25 @@ def test_primitive_basis_matches_dual_sq_oracle():
 
 
 def test_annihilator_is_the_kernel_of_the_forward_rows():
-    # the transposed table against linalg.kernel_basis of the forward rows,
-    # read back from each degree's cache file: the same canonical tuple
+    # the transposed table against the oracle's Gauss-Jordan of the forward
+    # rows, read back from each degree's cache file: per free coordinate f,
+    # ascending, f plus every pivot whose reduced row has f's bit
     degrees = ([(3, n) for n in range(31)] + [(4, n) for n in range(47)]
                + [(5, n) for n in range(21)])
     for q, n in degrees:
         space = hit.quotient_basis(q, n)
         lines = hit._cache_path(q, n).read_bytes().splitlines()[1:]
-        rows = [linalg.from_support(map(int, line.split())) for line in lines]
+        reduced = oracles.rref(
+            sum(1 << int(c) for c in line.split()) for line in lines)
+        kernel = {f: [f] for f in range(len(space.coords)) if f not in reduced}
+        for p, row in reduced.items():
+            row ^= 1 << p
+            while row:
+                f = row.bit_length() - 1
+                kernel[f].append(p)
+                row ^= 1 << f
         src = hit.kept_monomials(q, n, space.low)
-        want = tuple(frozenset(src[c] for c in linalg.support(v))
-                     for v in linalg.kernel_basis(rows, len(space.coords)))
+        want = tuple(frozenset(src[c] for c in cs) for cs in kernel.values())
         assert dual._annihilator(space) == want, (q, n)
 
 
@@ -171,6 +179,21 @@ def test_coinvariant_generators_for_several_invariants():
         tuple(int(a == b) for b in range(4)) for a in range(4)]
     for e, _ in got:
         assert dual.is_primitive(e) and dual.dual_degree(e) == 9
+
+
+def test_pairing_columns_are_the_invariant_vectors_transposed():
+    # coinvariant_generators' pairing columns: primitive k holds one
+    # admissible monomial, the k-th, so it pairs with an invariant as bit k
+    # of the invariant's vector
+    for q, n in ((4, 9), (4, 17), (4, 22), (4, 45), (5, 15)):
+        space = hit.quotient_basis(q, n)
+        prims = dual._annihilator(space)
+        for kind in ("gl", "sigma"):
+            vecs = action.invariant_subspace(space, action.group_generators(q, kind))
+            invs = [space.poly_of_vec(v) for v in vecs]
+            pairing = [linalg.from_support(b for b, u in enumerate(invs)
+                                           if dual.pairing(e, u)) for e in prims]
+            assert pairing == linalg.transpose(vecs, space.dim), (q, n, kind)
 
 
 def test_dual_sq_rejects_negative_squares():

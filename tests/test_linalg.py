@@ -27,7 +27,7 @@ def test_support_round_trip():
     for _ in range(50):
         coords = sorted(rng.sample(range(50_200), rng.randint(1, 6)))
         assert list(linalg.support(linalg.from_support(coords))) == coords
-    # kernel_basis transposes its rref rows through support; the kernel
+    # kernel_basis transposes its table through support; the kernel
     # holds width - rank vectors, so the width stays moderate here
     width = 4_000
     for _ in range(10):
@@ -47,6 +47,13 @@ def test_support_round_trip():
         units = [k for k in ker if not k & live_mask]
         assert all(k.bit_count() == 1 for k in units)
         assert len(set(units)) == len(units) == width - len(live)
+
+
+def _xor(vectors) -> int:
+    acc = 0
+    for v in vectors:
+        acc ^= v
+    return acc
 
 
 @given(vector_lists)
@@ -81,17 +88,32 @@ def test_insert_reports_rank_growth(rows):
 
 
 @given(vector_lists)
-def test_rref_rows_are_mutually_reduced(rows):
+def test_table_is_the_packed_rref(rows):
+    # each entry, unpacked onto the free coordinates, is the oracle's reduced
+    # row: in the span, with its own pivot and no other
     eb = linalg.EchelonBasis(WIDTH)
     for r in rows:
         eb.insert(r)
-    reduced = eb.rref()
-    pivots = set(reduced)
-    for p, row in reduced.items():
-        assert (row >> p) & 1
-        for other in pivots - {p}:
-            assert not (row >> other) & 1
+    table, reduced = eb.table(), oracles.rref(rows)
+    assert list(table) == sorted(reduced) == eb.pivots()
+    free = [c for c in range(WIDTH) if c not in table]
+    for p, packed in table.items():
+        row = (1 << p) | linalg.from_support(free[k] for k in linalg.support(packed))
+        assert row == reduced[p]
         assert eb.member(row)
+        assert not any((row >> other) & 1 for other in table if other != p)
+
+
+@given(st.integers(min_value=0, max_value=WIDTH).flatmap(lambda height: st.tuples(
+    st.just(height), st.lists(st.integers(0, (1 << height) - 1), max_size=20))))
+def test_transpose_swaps_rows_and_columns(case):
+    height, cols = case
+    rows = linalg.transpose(cols, height)
+    assert len(rows) == height
+    for c, v in enumerate(cols):
+        for r in range(height):
+            assert (rows[r] >> c) & 1 == (v >> r) & 1
+    assert linalg.transpose(rows, len(cols)) == cols
 
 
 @given(vector_lists)
@@ -117,6 +139,24 @@ def test_solve_combination_reconstructs_rhs(rows, seed):
         for k in linalg.support(mask):
             acc ^= rows[k]
         assert acc == rhs
+
+
+@given(vector_lists, st.integers(min_value=0))
+def test_solve_combination_skips_dependent_targets(rows, seed):
+    # sums of earlier targets mixed in: the mask has no bit at a target that
+    # lies in the span of the earlier ones
+    rng = random.Random(seed)
+    targets: list = []
+    for r in rows:
+        targets.append(r)
+        if rng.random() < 0.5:
+            targets.append(_xor(rng.sample(targets, rng.randint(0, len(targets)))))
+    rhs = _xor(t for t in targets if rng.random() < 0.5)
+    mask = linalg.solve_combination(targets, rhs)
+    assert mask is not None
+    assert _xor(targets[k] for k in linalg.support(mask)) == rhs
+    for k in linalg.support(mask):
+        assert oracles.rank2(targets[:k + 1]) == oracles.rank2(targets[:k]) + 1
 
 
 @given(vector_lists, vectors)
