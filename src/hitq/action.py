@@ -53,7 +53,7 @@ def action_matrix(g, space) -> list:
 def _fixed_point_rows(cols: list, dim: int) -> list:
     """Nonzero rows of M + I from the columns of M."""
     rows = linalg.transpose((col ^ 1 << c for c, col in enumerate(cols)), dim)
-    return [r for r in rows if r]
+    return [linalg.from_support(r) for r in rows if r]
 
 
 def invariant_subspace(space, gens) -> list:

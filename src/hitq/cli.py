@@ -129,8 +129,8 @@ def _init_worker(cache: str | None) -> None:
 def _sweep(opts, degs: tuple, job, arg=None, **head) -> None:
     """Run job(q, n, arg) for each degree, in order, and print the report."""
     q = opts.q
-    jobs = opts.jobs if opts.jobs > 0 else (os.cpu_count() or 1)
-    workers = min(jobs, len(degs))
+    cores = os.cpu_count() or 1
+    workers = min(opts.jobs or cores, cores, len(degs))
     if workers > 1:
         # imported here: one worker, the common case, skips its start-up cost
         from concurrent.futures import ProcessPoolExecutor
@@ -216,7 +216,7 @@ def _suite_paper_dims():
              for n in range(21))
     yield "q=1 dims are 1 exactly at n = 2^k - 1 (n <= 20)", ok
     ok = all(sum(hit.weight_quotient(4, n, om).dim
-                 for om in hit.enumerate_weights(4, n)) == hit.quotient_basis(4, n).dim
+                 for om in poly.weight_vectors(4, n)) == hit.quotient_basis(4, n).dim
              for n in range(25))
     yield "weight-block dims sum to dim Q^4_n (n <= 24)", ok
 
@@ -299,7 +299,7 @@ def _parser() -> argparse.ArgumentParser:
                              choices=("json", "csv", "text"),
                              help="[default: %(default)s]")
             sub.add_argument("--jobs", type=int, default=0, metavar="N",
-                             help="parallel workers over degrees (0 = all cores)")
+                             help="parallel workers, capped at the cores (0 = all)")
             sub.add_argument("--allow-long", action="store_true",
                              help=f"permit degrees above {LONG_THRESHOLD}")
         sub.add_argument("--cache", type=_directory, metavar="DIRECTORY",

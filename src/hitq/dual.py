@@ -11,7 +11,6 @@ that `hit` builds.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 from itertools import chain
 
 from . import action, hit, linalg
@@ -85,14 +84,13 @@ def _annihilator(space: hit.QuotientBasis) -> tuple:
     in order, f plus every pivot whose table entry has f's bit.  So each
     holds exactly one admissible monomial, its own f.
     """
-    src = hit.kept_monomials(space.q, space.n, space.low)
-    table, pivots = space.table, space.pivots
-    cols = linalg.transpose((table[p] for p in pivots), space.dim)
-    return tuple(frozenset([f, *(src[pivots[i]] for i in linalg.support(col))])
+    src, table = hit.kept_monomials(space.q, space.n, space.low), space.table
+    rels = [src[p] for p in space.pivots]  # column i is pivot i's monomial
+    cols = linalg.transpose((table[p] for p in space.pivots), space.dim)
+    return tuple(frozenset([f, *map(rels.__getitem__, col)])
                  for f, col in zip(space.admissible, cols))
 
 
-@lru_cache(maxsize=None)
 def primitive_basis(q: int, n: int) -> tuple:
     """Basis of the degree-n primitives: the (canonical) rref kernel of the hit rows.
 
@@ -125,7 +123,7 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
     invs = [space.poly_of_vec(v) for v in vecs]
     prims = _annihilator(space)
     # column k: bit b set when primitive k pairs to 1 with invariant b
-    columns = linalg.transpose(vecs, space.dim)
+    columns = [linalg.from_support(c) for c in linalg.transpose(vecs, space.dim)]
     out = []
     for a in range(len(invs)):
         sol = linalg.solve_combination(columns, 1 << a)

@@ -38,19 +38,20 @@ as it is yielded, and no source-degree universe is built.
 One type, :class:`QuotientBasis`, serves Q^q_n and its weight blocks
 (Q^q_n)^omega.  It holds no echelon, only its pivots and a normal-form
 table: pivot p -> [e_p] over the admissible basis, the free part of its
-reduced row, at most dim bits.  A fresh basis builds it on first use, the
-loader as it reads, each entry by :func:`linalg.normal_form`, the one
-reduced form of the GF(2) core; reducing a polynomial is a XOR of lookups.
+reduced row, at most dim bits, built from forward rows by
+:func:`linalg.normal_forms`: a fresh basis on first use, the loader as it
+reads.  Reducing a polynomial is a XOR of lookups.
 
 Each Q^q_n is cached on disk as one atomically written file,
 ``hit-q{q}-n{n}-v3.rows``: a JSON header line (q, n, version, width, low,
 rank, dim and the CRC-32 of the payload, every field checked on load), then
 one line per stored echelon row, its set coordinates shifted down by low and
 ascending, rows in ascending pivot order.  The unit block is not written;
-the loader derives low from (q, n) and checks the rows as coordinate lists,
-never as width-sized ints.  A file that fails any check on load is a cache
-miss, and so is a file of an older layout: the basis is rebuilt and the file
-rewritten.  The CRC guards against truncation and bit flips, not tampering.
+the loader derives low from (q, n) and streams the rows into
+:func:`linalg.normal_forms` as coordinate lists, never as width-sized ints.
+A file that fails any check on load is a cache miss, and so is a file of an
+older layout: the basis is rebuilt and the file rewritten.  The CRC guards
+against truncation and bit flips, not tampering.
 """
 
 from __future__ import annotations
@@ -243,10 +244,8 @@ class QuotientBasis:
         """Pivot p -> [e_p] over the admissible basis, the free part of p's
         reduced row: at most dim bits."""
         if self._table is None:
-            table = {}
-            for row in self._rows:
-                table[row[-1]] = linalg.normal_form(row, table, self.pivots)
-            self._table, self._rows = table, None
+            self._table = linalg.normal_forms(self._rows, len(self.coords))[0]
+            self._rows = None
         return self._table
 
     def reduce_vec(self, f: Polynomial) -> int:
@@ -311,11 +310,7 @@ def _save_cached(qb: QuotientBasis) -> None:
 
 
 def _load_cached(q: int, n: int):
-    """The cached Q^q_n, or None when the file is missing or fails a check.
-
-    Each row is non-empty and strictly ascending from 0 up, and the pivots
-    (last coordinates) strictly ascend below width - low; the table is built
-    in the same pass."""
+    """The cached Q^q_n, or None when the file is missing or fails a check."""
     width = _width(q, n)
     try:
         head, _, payload = _cache_path(q, n).read_bytes().partition(b"\n")
@@ -323,14 +318,10 @@ def _load_cached(q: int, n: int):
         checked = [meta[k] for k in ("version", "q", "n", "width", "crc32")]
         if checked != [CACHE_VERSION, q, n, width, zlib.crc32(payload)]:
             return None
-        low, top, pivots, table = _low(q, n), -1, [], {}
-        for line in payload.splitlines():
-            row = list(map(int, line.split()))  # ValueError on a non-integer
-            if not row or not top < row[-1] < width - low:
-                return None
-            top = row[-1]
-            table[top] = linalg.normal_form(row, table, pivots)  # checks the order
-            pivots.append(top)
+        low = _low(q, n)
+        table, pivots = linalg.normal_forms(
+            (list(map(int, line.split())) for line in payload.splitlines()),
+            width - low)
         rank = low + len(pivots)
         if [meta["low"], meta["rank"], meta["dim"]] != [low, rank, width - rank]:
             return None
@@ -340,11 +331,6 @@ def _load_cached(q: int, n: int):
 
 
 # --- weight filtration ----------------------------------------------------------
-
-def enumerate_weights(q: int, n: int) -> list:
-    """All weight vectors realized by degree-n monomials, ascending."""
-    return [omega for omega, _, _ in _blocks(q, n)]
-
 
 def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
     """The weight block (Q^q_n)^omega, read off the shared elimination.
@@ -396,7 +382,7 @@ def _kameko_rows(q: int, n: int) -> list:
     src, tgt = quotient_basis(q, n), quotient_basis(q, (n - q) // 2)
     images = (poly.kameko_down(m) for m in src.admissible)
     cols = [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
-    return [r for r in linalg.transpose(cols, tgt.dim) if r]
+    return [linalg.from_support(r) for r in linalg.transpose(cols, tgt.dim) if r]
 
 
 def kameko_kernel(q: int, n: int) -> list:
@@ -411,7 +397,6 @@ __all__ = [
     "hit_subspace",
     "cached_quotient",
     "quotient_basis",
-    "enumerate_weights",
     "weight_quotient",
     "weight_dimensions",
     "kameko_kernel",

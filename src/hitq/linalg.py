@@ -3,9 +3,10 @@
 Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
 of a universe of size ``width``.  Addition is XOR.  ``EchelonBasis.insert``
 is the one elimination, its pivot the highest occupied bit, so the caller
-sets pivot priority by laying out coordinates; :func:`normal_form` is the one
-reduced form and :func:`transpose` the one transposition.  Polynomials, dual
-elements and lambda-algebra elements are frozensets of terms;
+sets pivot priority by laying out coordinates.  :func:`normal_forms` builds
+every normal-form table from forward rows and is their one check, and
+:func:`transpose`, the one transposition, returns index lists.  Polynomials,
+dual elements and lambda-algebra elements are frozensets of terms;
 :func:`xor_terms` is their one GF(2) sum.
 """
 
@@ -46,26 +47,39 @@ def support(v: int) -> Iterator[int]:
 
 def transpose(vectors: Iterable[int], height: int) -> list:
     """The height rows of the matrix whose columns are vectors, none with a
-    bit at height or above: bit c of row r is bit r of vectors[c]."""
-    rows = [0] * height
+    bit at height or above: row r lists, ascending, every c where vectors[c]
+    has bit r."""
+    rows = [[] for _ in range(height)]
     for c, v in enumerate(vectors):
-        for r in support(v):
-            rows[r] |= 1 << c
+        while v:  # support(v) inlined: any bit order keeps each row ascending
+            r = v.bit_length() - 1
+            rows[r].append(c)
+            v ^= 1 << r
     return rows
 
 
-def normal_form(row: list, table: dict, pivots: list) -> int:
-    """[e_p] for a forward row's pivot p = row[-1], given the table and pivots
-    below p: XOR over the row's other coordinates c of c's entry, or, for a
-    free c, its bit.  ValueError unless those c strictly ascend from 0."""
-    v, prev, p = 0, -1, row[-1]
-    for c in row[:-1]:
-        if not prev < c < p:
-            raise ValueError(f"row {row} does not strictly ascend from 0")
-        prev = c
-        r = table.get(c)
-        v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
-    return v
+def normal_forms(rows: Iterable[list], width: int) -> tuple:
+    """(table, pivots) of forward rows, coordinate lists by ascending pivot:
+    a row's pivot p is its last coordinate, and table[p] = [e_p] XORs, over
+    the row's other coordinates c, c's entry or, for a free c, its bit among
+    the free coordinates.  ValueError unless each row is non-empty and
+    strictly ascends from 0 to its pivot, and the pivots strictly ascend
+    below width."""
+    table, pivots, top = {}, [], -1
+    for row in rows:
+        p = row[-1] if row else -1
+        if not top < p < width:
+            raise ValueError(f"row {row} has no pivot in ({top}, {width})")
+        v, prev = 0, -1
+        for c in row[:-1]:
+            if not prev < c < p:
+                raise ValueError(f"row {row} does not strictly ascend from 0")
+            prev = c
+            r = table.get(c)
+            v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
+        table[p], top = v, p
+        pivots.append(p)
+    return table, pivots
 
 
 class EchelonBasis:
@@ -139,11 +153,9 @@ class EchelonBasis:
 
     def table(self) -> dict[int, int]:
         """Pivot p -> the free part of p's reduced row, bit k for the k-th free
-        coordinate: :func:`normal_form` of each stored row, by ascending pivot."""
-        table, pivots = {}, self.pivots()
-        for p in pivots:
-            table[p] = normal_form(list(support(self._rows[p])), table, pivots)
-        return table
+        coordinate: :func:`normal_forms` of the stored rows."""
+        return normal_forms((list(support(self._rows[p])) for p in self.pivots()),
+                            self.width)[0]
 
 
 def rank(rows: Iterable[int], width: int) -> int:
@@ -166,7 +178,7 @@ def kernel_basis(rows: Iterable[int], width: int) -> list[int]:
         eb.insert(r)
     table = eb.table()
     pivots, free = list(table), [c for c in range(width) if c not in table]
-    return [(1 << f) | from_support(pivots[i] for i in support(col))
+    return [(1 << f) | from_support(map(pivots.__getitem__, col))
             for f, col in zip(free, transpose(table.values(), len(free)))]
 
 
@@ -196,7 +208,7 @@ __all__ = [
     "from_support",
     "support",
     "transpose",
-    "normal_form",
+    "normal_forms",
     "rank",
     "kernel_basis",
     "solve_combination",

@@ -142,7 +142,7 @@ def test_criterion_07_weight_dimensions_partition_the_quotient():
     for n in range(25):
         qb = hit.quotient_basis(4, n)
         table = hit.weight_dimensions(qb)
-        assert sorted(table) == hit.enumerate_weights(4, n)
+        assert sorted(table) == poly.weight_vectors(4, n)
         assert sum(table.values()) == qb.dim, n
     print("criterion 7 PASS: weight-block dimensions sum to dim Q^4_n "
           "for all n <= 24")

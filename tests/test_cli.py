@@ -109,9 +109,6 @@ def test_primitives_command():
 
 def test_primitives_command_writes_no_cache(tmp_path):
     # primitives come from a fresh hit echelon; no quotient is cached
-    from hitq import dual
-
-    dual.primitive_basis.cache_clear()
     r = _run("primitives", "--q", "4", "--degrees", "24,33",
              "--cache", str(tmp_path), "--jobs", "1")
     assert r.exit_code == 0
@@ -143,6 +140,35 @@ def test_negative_jobs_is_a_usage_error():
     # only 0 means "all cores"; a negative count used to mean it too
     r = _run("basis", "--q", "4", "--n", "9", "--jobs", "-1")
     assert r.exit_code == 2 and "--jobs must be at least 0" in r.output
+
+
+def test_jobs_is_capped_at_the_cores(tmp_path, monkeypatch):
+    # the degree jobs are CPU-bound, so workers past the cores only add
+    # memory; a fake pool records its size and maps in process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("64", "0"):
+        r = _run("basis", "--q", "2", "--degrees", "1,2,3,4,5", "--jobs", jobs,
+                 "--cache", str(tmp_path))
+        assert r.exit_code == 0 and len(r.output.splitlines()) == 5
+    assert sizes == [2, 2]
 
 
 def test_long_job_guard():

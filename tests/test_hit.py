@@ -146,7 +146,7 @@ def test_hit_subspace_builds_no_source_universe(tmp_path, monkeypatch):
     g = action.gl_generators(q)[-1]
     for m in qb.admissible[:20]:
         qb.reduce_vec(poly.linear_substitute(g, frozenset({m})))
-    dual.primitive_basis.__wrapped__(q, n)
+    dual.primitive_basis(q, n)
     assert poly.monomials.cache_info().currsize == 0
 
 
@@ -171,6 +171,31 @@ def test_elimination_goes_through_insert_and_cache_load_does_not(
     qb = hit._load_cached(4, 21)
     assert (qb.pivots, qb.table) == (hs.pivots, hs.table)
     assert verdicts == []
+
+
+def test_every_table_is_built_by_normal_forms(tmp_path, monkeypatch):
+    # the one builder, and so the one check of forward rows: a fresh table,
+    # built on first use, a cache load and EchelonBasis.table() call it
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    widths = []
+    build = linalg.normal_forms
+
+    def counting(rows, width):
+        widths.append(width)
+        return build(rows, width)
+
+    monkeypatch.setattr(linalg, "normal_forms", counting)
+    fresh = hit.quotient_basis(4, 21)  # a cold build writes the file
+    assert widths == [] and fresh._rows is not None
+    table = fresh.table
+    assert widths == [len(fresh.coords)] and fresh._rows is None
+    assert hit._load_cached(4, 21).table == table
+    assert widths == [len(fresh.coords)] * 2
+    eb = linalg.EchelonBasis(8)
+    for v in (0b1011, 0b110, 0b10010001):
+        eb.insert(v)
+    assert eb.table() == {2: 0b10, 3: 0b11, 7: 0b101}
+    assert widths == [len(fresh.coords)] * 2 + [8]
 
 
 # the degrees of the normal-form table oracles
@@ -275,7 +300,7 @@ def _weight_runs(q, n):
 
 def test_enumerate_weights_is_exact():
     for q, n in ((3, 7), (4, 9), (4, 45), (5, 24)):
-        ws = hit.enumerate_weights(q, n)
+        ws = poly.weight_vectors(q, n)
         assert ws == sorted({poly.weight_of(m) for m in poly.monomials(q, n)})
         assert all(poly.weight_degree(w) == n for w in ws)
         assert list(hit._blocks(q, n)) == _weight_runs(q, n)
@@ -311,7 +336,7 @@ def test_reduce_vec_drops_hit_terms_and_rejects_non_monomials():
 
 def test_weight_quotient_routes_agree():
     for q, n in ((3, 6), (3, 7), (3, 8), (3, 9), (4, 9)):
-        for om in hit.enumerate_weights(q, n):
+        for om in poly.weight_vectors(q, n):
             fast = hit.weight_quotient(q, n, om).dim
             direct = oracles.weight_block_dimension(q, n, om)
             assert fast == direct, (q, n, om)
@@ -345,7 +370,7 @@ def test_weight_blocks_below_the_floor_vanish():
         qb = hit.quotient_basis(q, n)
         low = qb.low
         floor = poly.weight_of(poly.minimal_spike(q, n))
-        below = [om for om in hit.enumerate_weights(q, n) if om < floor]
+        below = [om for om in poly.weight_vectors(q, n) if om < floor]
         assert below and low > 0, (q, n)
         table = hit.weight_dimensions(qb)
         for om in below:
@@ -511,6 +536,9 @@ DAMAGE = {
     "wrong-dim": _edit_header(lambda m: m.update(dim=m["dim"] + 1)),
     "header-not-an-object": lambda p, d: p.write_bytes(
         b"[]\n" + d.partition(b"\n")[2]),
+    "coordinate-negative": _edit_rows(  # a row that starts at -1
+        lambda m, rows: rows[:-1] + [[-1] + rows[-1]]),
+    "pivot-negative": _edit_rows(lambda m, rows: [[-1]] + rows[1:]),
     "coordinate-past-width": _edit_rows(  # past the shifted width
         lambda m, rows: rows[:-1] + [rows[-1][:-1] + [m["width"] - m["low"]]]),
     "row-missing": _edit_rows(lambda m, rows: rows[:-1]),

@@ -107,13 +107,16 @@ def test_table_is_the_packed_rref(rows):
 @given(st.integers(min_value=0, max_value=WIDTH).flatmap(lambda height: st.tuples(
     st.just(height), st.lists(st.integers(0, (1 << height) - 1), max_size=20))))
 def test_transpose_swaps_rows_and_columns(case):
+    # row r lists, ascending, exactly the c whose vector c has bit r
     height, cols = case
     rows = linalg.transpose(cols, height)
     assert len(rows) == height
-    for c, v in enumerate(cols):
-        for r in range(height):
-            assert (rows[r] >> c) & 1 == (v >> r) & 1
-    assert linalg.transpose(rows, len(cols)) == cols
+    for r, row in enumerate(rows):
+        assert row == sorted(set(row))
+        assert row == [c for c, v in enumerate(cols) if (v >> r) & 1]
+    packed = [linalg.from_support(row) for row in rows]
+    back = [linalg.from_support(row) for row in linalg.transpose(packed, len(cols))]
+    assert back == cols
 
 
 @given(vector_lists)
