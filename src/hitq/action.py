@@ -63,12 +63,11 @@ def invariant_subspace(space, gens) -> list:
     return linalg.kernel_basis(rows, dim)
 
 
-def kernel_invariants(q: int, n: int, gens) -> list:
-    """Invariants of the Kameko kernel inside Q^q_n (admissible coordinates):
-    Ker^G is the intersection of Ker and Q^G, so the common kernel of the
-    Kameko rows and every M_g + I."""
-    space = hit.quotient_basis(q, n)
-    rows = hit._kameko_rows(q, n)
+def kernel_invariants(space, gens) -> list:
+    """Invariants of the Kameko kernel inside space = Q^q_n (admissible
+    coordinates): Ker^G is the intersection of Ker and Q^G, so the common
+    kernel of the Kameko rows and every M_g + I."""
+    rows = hit._kameko_rows(space)
     for g in gens:
         rows.extend(_fixed_point_rows(action_matrix(g, space), space.dim))
     return linalg.kernel_basis(rows, space.dim)

@@ -73,7 +73,7 @@ def _basis_job(q, n, by_weight):
 
 
 def _block_job(q, n, omega):
-    block = hit.weight_quotient(q, n, omega)
+    block = hit.weight_quotient(hit.quotient_basis(q, n), omega)
     omega, dim = block.omega, block.dim  # omega without trailing zeros
     return ({"n": n, "omega": list(omega), "dim": dim},
             [(q, n, _omega_str(omega), dim, "weight")],
@@ -166,6 +166,8 @@ def basis(opts) -> None:
         job, arg = _block_job, _parse_ints(opts.omega, "weight")
         if len(degs) != 1:
             raise UsageError("--omega requires a single --n")
+        if opts.by_weight:
+            raise UsageError("--omega and --by-weight are mutually exclusive")
         if min(arg) < 0:
             raise UsageError(f"weight vector {arg} has a negative entry")
         if poly.weight_degree(arg) != degs[0]:
@@ -215,24 +217,23 @@ def _suite_paper_dims():
     ok = all(hit.quotient_basis(1, n).dim == (1 if (n + 1) & n == 0 else 0)
              for n in range(21))
     yield "q=1 dims are 1 exactly at n = 2^k - 1 (n <= 20)", ok
-    ok = all(sum(hit.weight_quotient(4, n, om).dim
-                 for om in poly.weight_vectors(4, n)) == hit.quotient_basis(4, n).dim
-             for n in range(25))
+    ok = all(sum(hit.weight_quotient(qb, om).dim
+                 for om in poly.weight_vectors(4, qb.n)) == qb.dim
+             for qb in (hit.quotient_basis(4, n) for n in range(25)))
     yield "weight-block dims sum to dim Q^4_n (n <= 24)", ok
 
 
 def _suite_paper_invariants():
     from . import action
-    qb9 = hit.quotient_basis(4, 9)
-    sig = len(action.invariant_subspace(qb9, action.sigma_generators(4)))
+    gl_dims = {9: 1, 10: 0, 17: 1, 21: 0, 22: 1, 37: 0, 45: 1, 46: 0}
+    bases = {n: hit.quotient_basis(4, n) for n in gl_dims}
+    sig = len(action.invariant_subspace(bases[9], action.sigma_generators(4)))
     yield "dim (Q^4_9)^sigma = 4", sig == 4
-    for n, want in ((9, 1), (10, 0), (17, 1), (21, 0), (22, 1), (37, 0),
-                    (45, 1), (46, 0)):
-        qb = hit.quotient_basis(4, n)
-        got = len(action.invariant_subspace(qb, action.gl_generators(4)))
+    for n, want in gl_dims.items():
+        got = len(action.invariant_subspace(bases[n], action.gl_generators(4)))
         yield f"dim (Q^4_{n})^gl = {want}", got == want
     for n in (10, 22, 46):
-        got = len(action.kernel_invariants(4, n, action.gl_generators(4)))
+        got = len(action.kernel_invariants(bases[n], action.gl_generators(4)))
         yield f"(Ker Sq^0)^gl = 0 at n = {n}", got == 0
 
 

@@ -94,7 +94,7 @@ def _annihilator(space: hit.QuotientBasis) -> tuple:
 def primitive_basis(q: int, n: int) -> tuple:
     """Basis of the degree-n primitives: the (canonical) rref kernel of the hit rows.
 
-    The rows are those of Q^q_n when it is in memory or on disk, else of a
+    The rows are those of Q^q_n's cache file when it is there, else of a
     fresh elimination; no cache file is written.
     """
     space = hit.cached_quotient(q, n)

@@ -51,7 +51,8 @@ the loader derives low from (q, n) and streams the rows into
 :func:`linalg.normal_forms` as coordinate lists, never as width-sized ints.
 A file that fails any check on load is a cache miss, and so is a file of an
 older layout: the basis is rebuilt and the file rewritten.  The CRC guards
-against truncation and bit flips, not tampering.
+against truncation and bit flips, not tampering.  No quotient is kept in
+memory: a function that works on one takes it rather than fetch it again.
 """
 
 from __future__ import annotations
@@ -279,22 +280,13 @@ class QuotientBasis:
         return frozenset(self.admissible[k] for k in linalg.support(w))
 
 
-_QCACHE: dict = {}
-
-
-def cached_quotient(q: int, n: int) -> QuotientBasis | None:
-    """Q^q_n from memory or from its cache file, or None; writes nothing."""
-    qb = _QCACHE.get((cache_dir(), q, n))
-    return qb if qb is not None else _load_cached(q, n)
-
-
 def quotient_basis(q: int, n: int) -> QuotientBasis:
-    """Q^q_n with its admissible monomial basis (cached on disk per (q,n))."""
+    """Q^q_n from its cache file, or from a fresh elimination that writes the
+    file; nothing is kept in memory, so each call reads or builds anew."""
     qb = cached_quotient(q, n)
     if qb is None:
         qb = hit_subspace(q, n)
         _save_cached(qb)
-    _QCACHE[(cache_dir(), q, n)] = qb
     return qb
 
 
@@ -309,8 +301,9 @@ def _save_cached(qb: QuotientBasis) -> None:
     _atomic_write(_cache_path(qb.q, qb.n), header + b"\n" + payload)
 
 
-def _load_cached(q: int, n: int):
-    """The cached Q^q_n, or None when the file is missing or fails a check."""
+def cached_quotient(q: int, n: int) -> QuotientBasis | None:
+    """Q^q_n from its cache file, or None when the file is missing or fails a
+    check; writes nothing."""
     width = _width(q, n)
     try:
         head, _, payload = _cache_path(q, n).read_bytes().partition(b"\n")
@@ -332,8 +325,8 @@ def _load_cached(q: int, n: int):
 
 # --- weight filtration ----------------------------------------------------------
 
-def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
-    """The weight block (Q^q_n)^omega, read off the shared elimination.
+def weight_quotient(qb: QuotientBasis, omega: WeightVector) -> QuotientBasis:
+    """The weight block (Q^q_n)^omega of the quotient qb = Q^q_n.
 
     Its relations are the rows with a weight-omega pivot, projected to the
     block: lower weights lie below it and project away.  A reduced row's bits
@@ -345,16 +338,15 @@ def weight_quotient(q: int, n: int, omega: WeightVector) -> QuotientBasis:
         omega = omega[:-1]
     if min(omega, default=0) < 0:
         raise ValueError(f"weight vector {omega} has a negative entry")
-    if poly.weight_degree(omega) != n:
-        raise ValueError(f"deg{omega} != {n}")
-    qb = quotient_basis(q, n)
-    start, end = _block(q, n, omega)
+    if poly.weight_degree(omega) != qb.n:
+        raise ValueError(f"deg{omega} != {qb.n}")
+    start, end = _block(qb.q, qb.n, omega)
     # a block below the spike's weight is all hit: it keeps nothing, dim 0
     coords = _kept_range(start, end, qb.low)
     lo = bisect_left(qb.pivots, coords.start)
     pivots = qb.pivots[lo:bisect_left(qb.pivots, coords.stop)]
     table, below = qb.table, coords.start - lo  # admissible positions below
-    return QuotientBasis(q, n, qb.low, coords, pivots, omega=omega,
+    return QuotientBasis(qb.q, qb.n, qb.low, coords, pivots, omega=omega,
                          table={p: table[p] >> below for p in pivots})
 
 
@@ -374,12 +366,13 @@ def weight_dimensions(qb: QuotientBasis) -> dict:
 
 # --- Kameko kernel ----------------------------------------------------------------
 
-def _kameko_rows(q: int, n: int) -> list:
-    """The nonzero rows of the Kameko down map Q^q_n -> Q^q_{(n-q)/2},
+def _kameko_rows(src: QuotientBasis) -> list:
+    """The nonzero rows of the Kameko down map src = Q^q_n -> Q^q_{(n-q)/2},
     x_i^{2a_i+1} -> x_i^{a_i}, over the admissible basis of Q^q_n."""
+    q, n = src.q, src.n
     if (n - q) % 2 or n < q:
         raise ValueError(f"Kameko down map undefined at (q={q}, n={n})")
-    src, tgt = quotient_basis(q, n), quotient_basis(q, (n - q) // 2)
+    tgt = quotient_basis(q, (n - q) // 2)
     images = (poly.kameko_down(m) for m in src.admissible)
     cols = [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
     return [linalg.from_support(r) for r in linalg.transpose(cols, tgt.dim) if r]
@@ -387,7 +380,8 @@ def _kameko_rows(q: int, n: int) -> list:
 
 def kameko_kernel(q: int, n: int) -> list:
     """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
-    return linalg.kernel_basis(_kameko_rows(q, n), quotient_basis(q, n).dim)
+    src = quotient_basis(q, n)
+    return linalg.kernel_basis(_kameko_rows(src), src.dim)
 
 
 __all__ = [

@@ -65,9 +65,9 @@ def test_criterion_04_kameko_kernel_invariants():
     gl = action.gl_generators(4)
     inv_dims = {}
     for n in (10, 22, 46):
-        assert action.kernel_invariants(4, n, gl) == []
-        inv_dims[n] = len(action.invariant_subspace(hit.quotient_basis(4, n),
-                                                    gl))
+        qb = hit.quotient_basis(4, n)
+        assert action.kernel_invariants(qb, gl) == []
+        inv_dims[n] = len(action.invariant_subspace(qb, gl))
     elapsed = time.monotonic() - t0
     assert inv_dims == {10: 0, 22: 1, 46: 0}
     assert elapsed < 600, f"took {elapsed:.1f}s"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
 import csv
+import gc
 import importlib
 import importlib.util
 import io
@@ -13,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -130,6 +133,8 @@ def test_usage_errors_exit_2():
         ("basis", "--q", "4", "--n", "9", "--omega", "3,,3"),
         ("basis", "--q", "4", "--n", "9", "--omega", ",3,3"),
         ("basis", "--q", "4", "--degrees", "9,,10,"),
+        # --by-weight is not silently dropped next to a single block
+        ("basis", "--q", "4", "--n", "9", "--omega", "3,3", "--by-weight"),
     ]
     for args in cases:
         r = _run(*args)
@@ -229,7 +234,7 @@ def test_cache_flag_writes_to_directory(tmp_path):
     from hitq import hit
 
     target = tmp_path / "cachedir"
-    hit.quotient_basis(3, 6)  # held in memory for the default directory only
+    hit.quotient_basis(3, 6)  # written to the default directory only
     r = _run("basis", "--q", "3", "--n", "6", "--cache", str(target))
     assert r.exit_code == 0
     assert list(target.glob("hit-q3-n6*"))
@@ -270,6 +275,56 @@ def test_cli_does_not_leak_cache_override(tmp_path):
     finally:
         del cli.SUITES["empty"]
         os.environ["HITQ_CACHE"] = before
+
+
+def test_no_quotient_outlives_its_job(tmp_path, monkeypatch):
+    # no quotient is kept in memory, so a sweep drops each degree's basis
+    # once its job has returned
+    from hitq import hit
+
+    refs, build = [], hit.hit_subspace
+
+    def recording(q, n):
+        qb = build(q, n)
+        refs.append(weakref.ref(qb))
+        return qb
+
+    monkeypatch.setattr(hit, "hit_subspace", recording)
+    r = _run("basis", "--q", "4", "--degrees", "9,21", "--jobs", "1",
+             "--cache", str(tmp_path))
+    assert r.exit_code == 0 and len(refs) == 2
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_each_entry_point_asks_for_each_degree_once(monkeypatch):
+    # with no memo to hide a second request, a function that works on a
+    # quotient takes it or fetches it once and passes it on
+    from hitq import action, hit, transfer
+
+    asked, fetch = collections.Counter(), hit.quotient_basis
+
+    def counting(q, n):
+        asked[q, n] += 1
+        return fetch(q, n)
+
+    monkeypatch.setattr(hit, "quotient_basis", counting)
+    qb22, gl = fetch(4, 22), action.gl_generators(4)
+    for fn, *args in ((hit.kameko_kernel, 4, 22),
+                      (transfer.transfer_image_report, 4, 9),
+                      (transfer.sq0_compat_check, 4, 9),
+                      (action.kernel_invariants, qb22, gl),
+                      (cli._basis_job, 4, 21, True),
+                      (cli._block_job, 4, 9, (3, 3)),
+                      (cli._invariants_job, 4, 17, "gl"),
+                      (cli._invariants_job, 4, 9, "sigma"),
+                      (cli._primitives_job, 4, 21, None),
+                      (cli._transfer_job, 4, 17, None)):
+        asked.clear()
+        fn(*args)
+        assert set(asked.values()) <= {1}, (fn.__name__, asked)
+        if fn is action.kernel_invariants:
+            assert list(asked) == [(4, 9)]  # only the Kameko target
 
 
 def test_traced_spans_and_exports_resolve():

@@ -110,7 +110,7 @@ def test_cache_files_written_in_the_naive_order_still_load(tmp_path, monkeypatch
         hit._save_cached(fresh)
         assert hit._cache_path(q, n).read_bytes() != old, (q, n)
         hit._cache_path(q, n).write_bytes(old)
-        loaded = hit._load_cached(q, n)
+        loaded = hit.cached_quotient(q, n)
         assert loaded.pivots == fresh.pivots, (q, n)
         assert loaded.admissible == fresh.admissible, (q, n)
         assert loaded.table == fresh.table, (q, n)
@@ -139,10 +139,9 @@ def test_hit_subspace_builds_no_source_universe(tmp_path, monkeypatch):
     poly.monomials.cache_clear()
     hit.hit_subspace(q, n)
     hit.quotient_basis(q, n)  # a cold build, then a warm load
-    hit._QCACHE.pop((hit.cache_dir(), q, n))
     qb = hit.quotient_basis(q, n)
     table = hit.weight_dimensions(qb)
-    hit.weight_quotient(q, n, max(table, key=table.get))
+    hit.weight_quotient(qb, max(table, key=table.get))
     g = action.gl_generators(q)[-1]
     for m in qb.admissible[:20]:
         qb.reduce_vec(poly.linear_substitute(g, frozenset({m})))
@@ -168,7 +167,7 @@ def test_elimination_goes_through_insert_and_cache_load_does_not(
     assert len(verdicts) > sum(verdicts) == len(hs.pivots) > 0
     hit.quotient_basis(4, 21)
     verdicts.clear()
-    qb = hit._load_cached(4, 21)
+    qb = hit.cached_quotient(4, 21)
     assert (qb.pivots, qb.table) == (hs.pivots, hs.table)
     assert verdicts == []
 
@@ -189,7 +188,7 @@ def test_every_table_is_built_by_normal_forms(tmp_path, monkeypatch):
     assert widths == [] and fresh._rows is not None
     table = fresh.table
     assert widths == [len(fresh.coords)] and fresh._rows is None
-    assert hit._load_cached(4, 21).table == table
+    assert hit.cached_quotient(4, 21).table == table
     assert widths == [len(fresh.coords)] * 2
     eb = linalg.EchelonBasis(8)
     for v in (0b1011, 0b110, 0b10010001):
@@ -233,7 +232,7 @@ def test_loaded_basis_equals_a_fresh_one(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(linalg, "from_support", _refuse)
             m.setattr(linalg.EchelonBasis, "insert", _refuse)
-            loaded = hit._load_cached(q, n)
+            loaded = hit.cached_quotient(q, n)
             table = loaded.table
         assert loaded.pivots == fresh.pivots, (q, n)
         assert loaded.admissible == fresh.admissible, (q, n)
@@ -328,7 +327,7 @@ def test_reduce_vec_drops_hit_terms_and_rejects_non_monomials():
         with pytest.raises(ValueError):
             qb.reduce_vec(frozenset({bad}))
     # a weight block checks its terms before filtering them by weight
-    block = hit.weight_quotient(4, 9, (3, 1, 1))
+    block = hit.weight_quotient(hit.quotient_basis(4, 9), (3, 1, 1))
     for bad in ((1, 2), (1, 0, 0, 0), (-1, 2, 3, 5), (1, 2, 3, 4, -1)):
         with pytest.raises(ValueError):
             block.reduce_vec(frozenset({bad}))
@@ -336,8 +335,9 @@ def test_reduce_vec_drops_hit_terms_and_rejects_non_monomials():
 
 def test_weight_quotient_routes_agree():
     for q, n in ((3, 6), (3, 7), (3, 8), (3, 9), (4, 9)):
+        qb = hit.quotient_basis(q, n)
         for om in poly.weight_vectors(q, n):
-            fast = hit.weight_quotient(q, n, om).dim
+            fast = hit.weight_quotient(qb, om).dim
             direct = oracles.weight_block_dimension(q, n, om)
             assert fast == direct, (q, n, om)
 
@@ -348,14 +348,15 @@ def test_weight_dimensions_read_off_pivots():
         table = hit.weight_dimensions(qb)
         assert sum(table.values()) == qb.dim
         for om, d in table.items():
-            assert hit.weight_quotient(q, n, om).dim == d
+            assert hit.weight_quotient(qb, om).dim == d
 
 
 def test_weight_block_reduces_inside_its_filtration():
     omega = (3, 1, 1)
-    block = hit.weight_quotient(4, 9, omega)
+    qb = hit.quotient_basis(4, 9)
+    block = hit.weight_quotient(qb, omega)
     assert block.omega == omega
-    assert block.dim == hit.weight_dimensions(hit.quotient_basis(4, 9))[omega]
+    assert block.dim == hit.weight_dimensions(qb)[omega]
     for k, m in enumerate(block.admissible):
         assert poly.weight_of(m) == omega
         assert block.reduce_vec(frozenset({m})) == 1 << k
@@ -374,7 +375,7 @@ def test_weight_blocks_below_the_floor_vanish():
         assert below and low > 0, (q, n)
         table = hit.weight_dimensions(qb)
         for om in below:
-            block = hit.weight_quotient(q, n, om)
+            block = hit.weight_quotient(qb, om)
             assert block.dim == table[om] == 0, (q, n, om)
             assert oracles.weight_block_dimension(q, n, om) == 0, (q, n, om)
 
@@ -386,7 +387,7 @@ def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
     floor = poly.weight_of(poly.minimal_spike(q, n))
     low = sum(poly.weight_of(m) < floor for m in uni)
     fresh = hit.quotient_basis(q, n)
-    loaded = hit._load_cached(q, n)
+    loaded = hit.cached_quotient(q, n)
     for space in (fresh, loaded):
         assert (space.low, space.low + len(space.coords)) == (low, len(uni))
         # the pivots are kept coordinates, and no table entry exceeds dim bits
@@ -401,10 +402,11 @@ def test_seeded_monomials_are_an_implicit_unit_block(tmp_path, monkeypatch):
 
 
 def test_weight_quotient_rejects_degree_mismatch():
+    qb = hit.quotient_basis(4, 9)
     with pytest.raises(ValueError):
-        hit.weight_quotient(4, 9, (1, 1))
+        hit.weight_quotient(qb, (1, 1))
     with pytest.raises(ValueError):
-        hit.weight_quotient(4, 9, (-1, 1, 2))  # degree 9, a negative entry
+        hit.weight_quotient(qb, (-1, 1, 2))  # degree 9, a negative entry
 
 
 def test_cache_round_trip():
@@ -416,7 +418,6 @@ def test_cache_round_trip():
         files = list(hit.cache_dir().glob(f"hit-q{q}-n{n}-*"))
         assert len(files) == 1 and "v3" in files[0].name, files
         assert len(_split(files[0].read_bytes())[1]) == len(qb.pivots)
-        hit._QCACHE.pop((hit.cache_dir(), q, n))
         loaded = hit.quotient_basis(q, n)
         assert loaded is not qb
         assert loaded.admissible == qb.admissible
@@ -559,13 +560,12 @@ def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
     fresh = _pivots(hit.hit_subspace(q, n))
     hit.quotient_basis(q, n)
     (path,) = tmp_path.iterdir()
-    assert _pivots(hit._load_cached(q, n)) == fresh
+    assert _pivots(hit.cached_quotient(q, n)) == fresh
     DAMAGE[damage](path, path.read_bytes())
-    assert hit._load_cached(q, n) is None
-    hit._QCACHE.pop((hit.cache_dir(), q, n))
+    assert hit.cached_quotient(q, n) is None
     assert _pivots(hit.quotient_basis(q, n)) == fresh
     # the rebuild rewrote a good file, and only the v3 file is read
-    assert _pivots(hit._load_cached(q, n)) == fresh
+    assert _pivots(hit.cached_quotient(q, n)) == fresh
 
 
 def test_rows_out_of_order_are_a_miss(tmp_path, monkeypatch):
@@ -582,9 +582,9 @@ def test_rows_out_of_order_are_a_miss(tmp_path, monkeypatch):
                 rows[:k] + [[10 ** 12] + rows[k]] + rows[k + 1:],
                 rows[1:] + rows[:1]):  # the smallest pivot comes last
         path.write_bytes(_join(meta, bad))
-        assert hit._load_cached(q, n) is None
+        assert hit.cached_quotient(q, n) is None
     path.write_bytes(_join(meta, rows))
-    assert hit._load_cached(q, n) is not None
+    assert hit.cached_quotient(q, n) is not None
 
 
 def test_any_one_bit_flip_is_a_miss_or_harmless(tmp_path, monkeypatch):
@@ -594,11 +594,11 @@ def test_any_one_bit_flip_is_a_miss_or_harmless(tmp_path, monkeypatch):
     hit.quotient_basis(3, 7)
     path = hit._cache_path(3, 7)
     data = path.read_bytes()
-    assert hit._load_cached(3, 7) is not None
+    assert hit.cached_quotient(3, 7) is not None
     for k in range(len(data)):
         for bit in range(8):
             path.write_bytes(_flip(data, k, bit))
-            assert hit._load_cached(3, 7) is None, (k, bit)
+            assert hit.cached_quotient(3, 7) is None, (k, bit)
 
 
 def test_kameko_kernel_is_the_exact_kernel():
