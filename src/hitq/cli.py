@@ -239,12 +239,13 @@ def _suite_paper_invariants():
 
 def _suite_paper_transfer():
     from . import transfer
+    reports = {}
     for n, want in ((9, ("h_1c_0",)), (17, ("e_0",)), (21, ())):
-        rep = transfer.transfer_image_report(4, n)
+        rep = reports[n] = transfer.transfer_image_report(4, n)
         label = f"Im Tr_4 at n={n} is {want if want else '0'}"
         yield label, tuple(sorted(rep.image)) == want and rep.unidentified == 0
     yield ("theta/psi square compatibility at n=9",
-           transfer.sq0_compat_check(4, 9))
+           transfer.sq0_compat_check(reports[9]))
 
 
 def _suite_lambda_props():

@@ -84,9 +84,8 @@ def _annihilator(space: hit.QuotientBasis) -> tuple:
     in order, f plus every pivot whose table entry has f's bit.  So each
     holds exactly one admissible monomial, its own f.
     """
-    src, table = hit.kept_monomials(space.q, space.n, space.low), space.table
-    rels = [src[p] for p in space.pivots]  # column i is pivot i's monomial
-    cols = linalg.transpose((table[p] for p in space.pivots), space.dim)
+    rels = [space.monomials[p] for p in space.pivots]  # column i: pivot i's monomial
+    cols = linalg.transpose(map(space.table.__getitem__, space.pivots), space.dim)
     return tuple(frozenset([f, *map(rels.__getitem__, col)])
                  for f, col in zip(space.admissible, cols))
 

@@ -15,9 +15,10 @@ projected, and a :class:`QuotientBasis` carries low.
 
 Only the block table (omega, start, end) is computed for every weight, its
 sizes prod_j C(q, omega_j) by binomials; monomials are listed only for the
-blocks from low up (:func:`kept_monomials`), so the unit block is never
-enumerated.  A term that :meth:`QuotientBasis.reduce_vec` meets below low
-is hit, and it is dropped.
+blocks from low up (:func:`kept_monomials`), once per quotient, which holds
+them and builds its own monomial index: the unit block is never enumerated,
+and nothing is memoized across quotients.  A term below low is hit, and
+:meth:`QuotientBasis.reduce_vec` drops it.
 
 The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
@@ -52,7 +53,8 @@ the loader derives low from (q, n) and streams the rows into
 A file that fails any check on load is a cache miss, and so is a file of an
 older layout: the basis is rebuilt and the file rewritten.  The CRC guards
 against truncation and bit flips, not tampering.  No quotient is kept in
-memory: a function that works on one takes it rather than fetch it again.
+memory, so a sweep holds neither a degree's basis nor its coordinates past
+its job: a function that works on one takes it rather than fetch it again.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import os
 import tempfile
 import zlib
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -136,27 +138,20 @@ def _kept_range(start: int, end: int, low: int) -> range:
     return range(max(start, low) - low, max(end, low) - low)
 
 
-@lru_cache(maxsize=None)
 def kept_monomials(q: int, n: int, low: int) -> tuple:
-    """The monomials at the coordinates [low, width); low starts a block."""
+    """The monomials at the coordinates [low, width); low starts a block.
+    Listed anew on each call: a quotient holds its own (``monomials``)."""
     return tuple(chain.from_iterable(
         poly.block_monomials(q, omega)
         for omega, start, _ in _blocks(q, n) if start >= low))
 
 
-@lru_cache(maxsize=None)
-def _kept_index(q: int, n: int, low: int) -> dict:
-    """Monomial -> shifted coordinate (its position in kept_monomials)."""
-    return {m: k for k, m in enumerate(kept_monomials(q, n, low))}
-
-
-def _generator_stream(q: int, n: int, low: int = 0):
+def _generator_stream(q: int, n: int, kept: tuple):
     """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, projected
-    onto the coordinates [low, width) and shifted down by low; low starts a
-    block.  By ascending top coordinate, then i, then m's coordinate in degree
-    n - 2^i; built from the kept coordinates (see the module docstring).
+    onto the kept coordinates kept = kept_monomials(q, n, low) and shifted
+    down by low.  By ascending top coordinate, then i, then m's coordinate in
+    degree n - 2^i; built from the kept coordinates (see the module docstring).
     """
-    kept = kept_monomials(q, n, low)
     top = n.bit_length()
     lex = (n + 1) ** q
     wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
@@ -205,14 +200,15 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
     span is Abar(P_q)_n; reads and writes no cache."""
     if n < 0:
         raise ValueError(f"degree {n} is negative")
-    low, width = _low(q, n), _width(q, n)
-    basis = linalg.EchelonBasis(width - low)
-    for v in _generator_stream(q, n, low):
+    low = _low(q, n)
+    kept = kept_monomials(q, n, low)
+    basis = linalg.EchelonBasis(len(kept))
+    for v in _generator_stream(q, n, kept):
         basis.insert(v)
     by_pivot = basis.rows_by_pivot()
     del basis  # each int row is freed as its coordinate list is made
     rows = [list(linalg.support(by_pivot.pop(p))) for p in sorted(by_pivot)]
-    return QuotientBasis(q, n, low, range(width - low), [r[-1] for r in rows], rows)
+    return QuotientBasis(q, n, low, kept, range(len(kept)), [r[-1] for r in rows], rows)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -220,20 +216,20 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
 class QuotientBasis:
     """Q^q_n, or its weight block (Q^q_n)^omega, over admissible monomials.
 
-    The coordinates [0, low) are hit; ``coords`` are the space's kept ones,
-    shifted down by low.  ``pivots`` lead its relations, ascending; the other
-    coordinates c are admissible, at position c - coords.start - (pivots
-    below c).  A fresh basis holds ``rows``, the forward rows' coordinate
-    lists by ascending pivot, until it builds :attr:`table` from them.
-    ``omega`` is None for the whole quotient.
+    The coordinates [0, low) are hit; ``monomials`` are Q^q_n's kept ones and
+    ``coords`` the space's, shifted down by low.  ``pivots`` lead its
+    relations, ascending; the other coords c are admissible, at position
+    c - coords.start - (pivots below c).  A fresh basis holds ``rows``, the
+    forward rows' coordinate lists by ascending pivot, until it builds
+    :attr:`table` from them.  ``omega`` is None for the whole quotient.
     """
 
-    def __init__(self, q: int, n: int, low: int, coords: range, pivots: list,
-                 rows=None, omega: WeightVector | None = None, table=None):
+    def __init__(self, q: int, n: int, low: int, monomials: tuple, coords: range,
+                 pivots: list, rows=None, omega=None, table=None):
         self.q, self.n, self.low, self.omega = q, n, low, omega
-        self.coords, self.pivots = coords, pivots
-        kept, stored = kept_monomials(q, n, low), set(pivots)
-        self.admissible = tuple(kept[c] for c in coords if c not in stored)
+        self.monomials, self.coords, self.pivots = monomials, coords, pivots
+        stored = set(pivots)
+        self.admissible = tuple(monomials[c] for c in coords if c not in stored)
         self._rows, self._table = rows, table
 
     @property
@@ -249,6 +245,11 @@ class QuotientBasis:
             self._rows = None
         return self._table
 
+    @cached_property
+    def _index(self) -> dict:
+        """Monomial -> kept coordinate, over this space's coordinates."""
+        return {self.monomials[c]: c for c in self.coords}
+
     def reduce_vec(self, f: Polynomial) -> int:
         """Coordinates of [f] over the admissible basis; zero iff f is a relation.
 
@@ -256,8 +257,7 @@ class QuotientBasis:
         monomial in q variables raises.  In a weight block, lower-weight terms
         die and higher ones raise.
         """
-        q, n, omega = self.q, self.n, self.omega
-        idx = _kept_index(q, n, self.low)
+        q, n, omega, idx = self.q, self.n, self.omega, self._index
         table, pivots, start = self.table, self.pivots, self.coords.start
         v = 0
         for m in f:
@@ -318,7 +318,8 @@ def cached_quotient(q: int, n: int) -> QuotientBasis | None:
         rank = low + len(pivots)
         if [meta["low"], meta["rank"], meta["dim"]] != [low, rank, width - rank]:
             return None
-        return QuotientBasis(q, n, low, range(width - low), pivots, table=table)
+        return QuotientBasis(q, n, low, kept_monomials(q, n, low),
+                             range(width - low), pivots, table=table)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -346,8 +347,8 @@ def weight_quotient(qb: QuotientBasis, omega: WeightVector) -> QuotientBasis:
     lo = bisect_left(qb.pivots, coords.start)
     pivots = qb.pivots[lo:bisect_left(qb.pivots, coords.stop)]
     table, below = qb.table, coords.start - lo  # admissible positions below
-    return QuotientBasis(qb.q, qb.n, qb.low, coords, pivots, omega=omega,
-                         table={p: table[p] >> below for p in pivots})
+    return QuotientBasis(qb.q, qb.n, qb.low, qb.monomials, coords, pivots,
+                         omega=omega, table={p: table[p] >> below for p in pivots})
 
 
 def weight_dimensions(qb: QuotientBasis) -> dict:
@@ -366,13 +367,17 @@ def weight_dimensions(qb: QuotientBasis) -> dict:
 
 # --- Kameko kernel ----------------------------------------------------------------
 
+def _kameko_degree(q: int, n: int) -> int:
+    """(n - q)/2, the degree of the Kameko down map's target from Q^q_n."""
+    if (n - q) % 2 or n < q:
+        raise ValueError(f"Kameko down map undefined at (q={q}, n={n})")
+    return (n - q) // 2
+
+
 def _kameko_rows(src: QuotientBasis) -> list:
     """The nonzero rows of the Kameko down map src = Q^q_n -> Q^q_{(n-q)/2},
     x_i^{2a_i+1} -> x_i^{a_i}, over the admissible basis of Q^q_n."""
-    q, n = src.q, src.n
-    if (n - q) % 2 or n < q:
-        raise ValueError(f"Kameko down map undefined at (q={q}, n={n})")
-    tgt = quotient_basis(q, (n - q) // 2)
+    tgt = quotient_basis(src.q, _kameko_degree(src.q, src.n))
     images = (poly.kameko_down(m) for m in src.admissible)
     cols = [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
     return [linalg.from_support(r) for r in linalg.transpose(cols, tgt.dim) if r]
@@ -380,6 +385,7 @@ def _kameko_rows(src: QuotientBasis) -> list:
 
 def kameko_kernel(q: int, n: int) -> list:
     """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
+    _kameko_degree(q, n)  # so that a bad degree fetches no quotient
     src = quotient_basis(q, n)
     return linalg.kernel_basis(_kameko_rows(src), src.dim)
 

@@ -81,16 +81,10 @@ def transfer_image_report(q: int, n: int) -> TransferReport:
     return TransferReport(q, n, tuple(triples), tuple(image), unidentified)
 
 
-def sq0_compat_check(q: int, n: int) -> bool:
-    """theta(psi(e)) and psi(Kameko-up e) agree in homology for all generators."""
-    gens = action.gl_generators(q)
-    for e, _cert in dual.coinvariant_generators(q, n, gens):
-        z = lam.normalize(psi(q, e))
-        zu = lam.normalize(psi(q, dual.kameko_up_dual(e)))
-        equal, _ = lam.classes_equal(lam.theta(z), zu)
-        if not equal:
-            return False
-    return True
+def sq0_compat_check(report: TransferReport) -> bool:
+    """theta(z) and psi(Kameko-up e) agree in homology for each (e, z) of the report."""
+    return all(lam.classes_equal(lam.theta(z), lam.normalize(
+        psi(report.q, dual.kameko_up_dual(e))))[0] for e, z, _ in report.generators)
 
 
 __all__ = [

@@ -312,7 +312,8 @@ def test_each_entry_point_asks_for_each_degree_once(monkeypatch):
     qb22, gl = fetch(4, 22), action.gl_generators(4)
     for fn, *args in ((hit.kameko_kernel, 4, 22),
                       (transfer.transfer_image_report, 4, 9),
-                      (transfer.sq0_compat_check, 4, 9),
+                      (transfer.sq0_compat_check,
+                       transfer.transfer_image_report(4, 9)),
                       (action.kernel_invariants, qb22, gl),
                       (cli._basis_job, 4, 21, True),
                       (cli._block_job, 4, 9, (3, 3)),
@@ -325,6 +326,8 @@ def test_each_entry_point_asks_for_each_degree_once(monkeypatch):
         assert set(asked.values()) <= {1}, (fn.__name__, asked)
         if fn is action.kernel_invariants:
             assert list(asked) == [(4, 9)]  # only the Kameko target
+        if fn is transfer.sq0_compat_check:
+            assert not asked  # it reuses the report's generators
 
 
 def test_traced_spans_and_exports_resolve():

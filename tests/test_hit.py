@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import gc
 import json
 import random
 import tracemalloc
@@ -36,7 +38,7 @@ def _pivots(space):
 def _full_pivots(q, n):
     """Pivots of the unseeded reference: the whole stream, low = 0."""
     full = linalg.EchelonBasis(len(poly.monomials(q, n)))
-    for v in hit._generator_stream(q, n):
+    for v in hit._generator_stream(q, n, hit.kept_monomials(q, n, 0)):
         full.insert(v)
     return full.pivots()
 
@@ -86,10 +88,12 @@ def test_generator_stream_is_exact():
         spike = poly.minimal_spike(q, n)
         if spike is not None:
             floor = poly.weight_of(spike)
-            got = list(hit._generator_stream(q, n, hit._low(q, n)))
+            kept = hit.kept_monomials(q, n, hit._low(q, n))
+            got = list(hit._generator_stream(q, n, kept))
             assert got == _pivot_order(_reference_stream(q, n, floor)), (q, n)
     for q, n in ((1, 7), (2, 5), (3, 9), (4, 12)):  # the unseeded stream, low = 0
-        assert list(hit._generator_stream(q, n)) == _pivot_order(
+        assert list(hit._generator_stream(
+            q, n, hit.kept_monomials(q, n, 0))) == _pivot_order(
             _reference_stream(q, n, ()))
 
 
@@ -104,7 +108,8 @@ def test_cache_files_written_in_the_naive_order_still_load(tmp_path, monkeypatch
             eb.insert(v)
         rows = [list(linalg.support(r)) for _, r in sorted(eb.rows_by_pivot().items())]
         hit._save_cached(hit.QuotientBasis(
-            q, n, low, range(width - low), [r[-1] for r in rows], rows))
+            q, n, low, hit.kept_monomials(q, n, low), range(width - low),
+            [r[-1] for r in rows], rows))
         old = hit._cache_path(q, n).read_bytes()
         fresh = hit.hit_subspace(q, n)
         hit._save_cached(fresh)
@@ -118,10 +123,13 @@ def test_cache_files_written_in_the_naive_order_still_load(tmp_path, monkeypatch
 
 def test_cold_elimination_memory_peak():
     # no full split list is held, and each source's coordinates are freed as
-    # its vector is yielded: the peaks are 1.30 and 1.04 MiB, where a stream
-    # that holds every support list to its end peaks at 2.1 and 1.6 MiB
+    # its vector is yielded: with the kept monomials listed inside, the peaks
+    # are 1.40 and 1.19 MiB, where a stream that holds every support list to
+    # its end peaks at 2.1 and 1.6 MiB without them.  An untraced first run
+    # fills the interpreter's tuple free lists, as earlier tests do in a full
+    # run; a traced first run in a fresh process counts them (+0.15 MiB)
     for q, n, bound in ((4, 33, 1.75), (5, 24, 1.3)):
-        hit.kept_monomials(q, n, hit._low(q, n))  # the cached coordinates
+        hit.hit_subspace(q, n)
         tracemalloc.start()
         try:
             hit.hit_subspace(q, n)
@@ -208,11 +216,12 @@ def test_table_is_the_free_part_of_rref():
     for q, n in ORACLE_DEGREES:
         qb = hit.quotient_basis(q, n)
         low = hit._low(q, n)
-        reduced = oracles.rref(hit._generator_stream(q, n, low))
+        reduced = oracles.rref(
+            hit._generator_stream(q, n, hit.kept_monomials(q, n, low)))
         assert sorted(reduced) == qb.pivots, (q, n)
         free = [c for c in range(hit._width(q, n) - low) if c not in reduced]
-        assert qb.admissible == tuple(
-            hit.kept_monomials(q, n, low)[c] for c in free), (q, n)
+        kept = hit.kept_monomials(q, n, low)
+        assert qb.admissible == tuple(kept[c] for c in free), (q, n)
         want = {p: linalg.from_support(k for k, c in enumerate(free) if row >> c & 1)
                 for p, row in reduced.items()}
         assert qb.table == want, (q, n)
@@ -621,6 +630,52 @@ def test_kameko_kernel_is_the_exact_kernel():
         assert oracles.rank2(list(ker)) == len(ker)
 
 
-def test_kameko_kernel_rejects_bad_degree():
+def test_kameko_kernel_rejects_bad_degree(tmp_path, monkeypatch):
+    # it raises before Q^4_9 is built, so no cache file is written
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
     with pytest.raises(ValueError):
         hit.kameko_kernel(4, 9)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_quotient_lists_its_kept_monomials_once(tmp_path, monkeypatch):
+    # a cold build lists each kept weight block once for the stream and the
+    # basis together, a load once; reducing, its weight blocks and its
+    # primitives list none again
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    q, n, calls, listed = 4, 33, collections.Counter(), poly.block_monomials
+
+    def counting(q, omega):
+        calls[omega] += 1
+        return listed(q, omega)
+
+    monkeypatch.setattr(poly, "block_monomials", counting)
+    low = hit._low(q, n)
+    once = {omega: 1 for omega, start, _ in hit._blocks(q, n) if start >= low}
+    for fetch in (hit.quotient_basis, hit.cached_quotient):
+        calls.clear()
+        qb = fetch(q, n)
+        action.invariant_subspace(qb, action.sigma_generators(q))
+        for omega in once:
+            hit.weight_quotient(qb, omega).reduce_vec(frozenset())
+        dual._annihilator(qb)
+        assert calls == once, fetch.__name__
+
+
+def test_no_degree_outlives_its_job(tmp_path, monkeypatch):
+    # a cold build, a load and a reduction keep nothing once the quotients
+    # are dropped: no basis, no kept monomials, no monomial index
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for q, n in ((4, 33), (5, 24)):
+            hit.quotient_basis(q, n)  # builds and writes
+            action.invariant_subspace(hit.quotient_basis(q, n),  # loads
+                                      action.sigma_generators(q))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left < 0.25 * 2**20, left

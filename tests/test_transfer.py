@@ -94,7 +94,7 @@ def test_transfer_image_at_degree_45():
 
 
 def test_square_compatibility_of_transfer_and_doubling():
-    assert transfer.sq0_compat_check(4, 9)
+    assert transfer.sq0_compat_check(transfer.transfer_image_report(4, 9))
 
 
 def test_low_rank_transfers_name_the_hopf_classes():
