@@ -44,35 +44,40 @@ reduced row, at most dim bits, built from forward rows by
 reads.  Reducing a polynomial is a XOR of lookups.
 
 Each Q^q_n is cached on disk as one atomically written file,
-``hit-q{q}-n{n}-v3.rows``: a JSON header line (q, n, version, width, low,
+``hit-q{q}-n{n}-v4.rows``: a JSON header line (q, n, version, width, low,
 rank, dim and the CRC-32 of the payload, every field checked on load), then
-one line per stored echelon row, its set coordinates shifted down by low and
-ascending, rows in ascending pivot order.  The unit block is not written;
-the loader derives low from (q, n) and streams the rows into
+the zlib-compressed payload, one line per stored echelon row by ascending
+pivot, its coordinates shifted down by low: the pivot's step up from the
+previous pivot (-1 before the first), then the steps down through the row
+(after pivot 7, the row [2, 5, 9] is ``2 4 3``).  The unit block is not
+written; the loader derives low from (q, n) and streams the rows into
 :func:`linalg.normal_forms` as coordinate lists, never as width-sized ints.
 A file that fails any check on load is a cache miss, and so is a file of an
-older layout: the basis is rebuilt and the file rewritten.  The CRC guards
-against truncation and bit flips, not tampering.  No quotient is kept in
-memory, so a sweep holds neither a degree's basis nor its coordinates past
-its job: a function that works on one takes it rather than fetch it again.
+older layout: the basis is rebuilt and the file rewritten (a v3 file beside
+it is deleted; an unwritable cache costs the file, not the result).  The
+CRC guards against truncation and bit flips, not tampering.  No quotient is
+kept in memory, so a sweep holds neither a degree's basis nor its
+coordinates past its job: a function that works on one takes it rather than
+fetch it again.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import zlib
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter, sub
 from pathlib import Path
 
 from . import linalg, poly
 from .poly import Polynomial, WeightVector
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 # --- cache ------------------------------------------------------------------
@@ -286,19 +291,39 @@ def quotient_basis(q: int, n: int) -> QuotientBasis:
     qb = cached_quotient(q, n)
     if qb is None:
         qb = hit_subspace(q, n)
-        _save_cached(qb)
+        try:
+            _save_cached(qb)
+        except OSError as exc:
+            print(f"hitq: cache file {_cache_path(q, n)} not written: {exc}",
+                  file=sys.stderr)
     return qb
 
 
 def _save_cached(qb: QuotientBasis) -> None:
-    """Write a fresh Q^q_n, whose rows are still held (its table is unbuilt)."""
-    payload = "".join(" ".join(map(str, row)) + "\n" for row in qb._rows).encode()
+    """Write a fresh Q^q_n, whose rows are still held (its table is unbuilt),
+    and delete the degree's v3 file, which no loader reads."""
+    lines = []
+    for row, top in zip(qb._rows, [-1, *qb.pivots]):  # top: the previous pivot
+        down = row[::-1]
+        lines.append(" ".join(map(str, (down[0] - top, *map(sub, down, down[1:])))))
+    payload = zlib.compress("\n".join(lines).encode())
     meta = {"q": qb.q, "n": qb.n, "version": CACHE_VERSION,
             "width": qb.low + len(qb.coords), "low": qb.low,
             "rank": qb.low + len(qb.pivots), "dim": qb.dim,
             "crc32": zlib.crc32(payload)}
     header = json.dumps(meta, sort_keys=True).encode()
-    _atomic_write(_cache_path(qb.q, qb.n), header + b"\n" + payload)
+    path = _cache_path(qb.q, qb.n)
+    _atomic_write(path, header + b"\n" + payload)
+    path.with_name(f"hit-q{qb.q}-n{qb.n}-v3.rows").unlink(missing_ok=True)
+
+
+def _decode_rows(text: bytes):
+    """The coordinate lists, ascending, of a payload's decompressed lines."""
+    top = -1
+    for line in text.splitlines():
+        step, *down = map(int, line.split())
+        top += step
+        yield list(accumulate(down, sub, initial=top))[::-1]
 
 
 def cached_quotient(q: int, n: int) -> QuotientBasis | None:
@@ -313,14 +338,13 @@ def cached_quotient(q: int, n: int) -> QuotientBasis | None:
             return None
         low = _low(q, n)
         table, pivots = linalg.normal_forms(
-            (list(map(int, line.split())) for line in payload.splitlines()),
-            width - low)
+            _decode_rows(zlib.decompress(payload)), width - low)
         rank = low + len(pivots)
         if [meta["low"], meta["rank"], meta["dim"]] != [low, rank, width - rank]:
             return None
         return QuotientBasis(q, n, low, kept_monomials(q, n, low),
                              range(width - low), pivots, table=table)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, zlib.error):
         return None
 
 

@@ -143,10 +143,6 @@ class EchelonBasis:
                 v ^= row
         return done
 
-    def member(self, v: int) -> bool:
-        """True iff v lies in the row space."""
-        return self.reduce(v) == 0
-
     def rows_by_pivot(self) -> dict[int, int]:
         """Stored forward-echelon rows keyed by pivot."""
         return dict(self._rows)

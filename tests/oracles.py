@@ -6,7 +6,8 @@ elimination over lexicographically ordered monomials, Gauss-Jordan on int
 rows, a batch all-generators hit-space construction, the literal
 subspace-intersection route to the weight blocks, the primitives as the
 common kernel of the dual Sq^{2^i} functionals, the least weight of a spike
-by trying every tuple, and a text rendering of lambda elements.
+by trying every tuple, a text rendering of lambda elements, and a reader and
+writers of the cache file layouts.
 Nothing imports hitq.
 """
 
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import zlib
 
 Mono = tuple
 
@@ -298,8 +301,57 @@ def format_element(e) -> str:
     return " + ".join(chunks) or "0"
 
 
+def _cache_file(meta: dict, payload: bytes) -> bytes:
+    meta = dict(meta, crc32=zlib.crc32(payload))
+    return json.dumps(meta, sort_keys=True).encode() + b"\n" + payload
+
+
+def cache_v3(meta: dict, rows: list) -> bytes:
+    """A v3 cache file: the JSON header with the payload's CRC-32, then one
+    text line per row, its entries in decimal as listed."""
+    return _cache_file(meta, "".join(
+        " ".join(str(c) for c in row) + "\n" for row in rows).encode())
+
+
+def cache_v4(meta: dict, rows: list) -> bytes:
+    """A v4 cache file of any int lists, however ordered: per row, one line of
+    signed steps, from the previous row's last entry (-1 at first) up to this
+    row's last entry, then from each entry down to the one before it.  An
+    empty row is an empty line.  The lines, joined by newlines, are
+    zlib-compressed at the default level; the CRC-32 covers the compressed
+    bytes."""
+    lines, top = [], -1
+    for row in rows:
+        steps = []
+        if row:
+            steps.append(row[-1] - top)
+            top = row[-1]
+        for k in range(len(row) - 1, 0, -1):
+            steps.append(row[k] - row[k - 1])
+        lines.append(" ".join(str(s) for s in steps))
+    return _cache_file(meta, zlib.compress("\n".join(lines).encode()))
+
+
+def read_cache_v4(data: bytes) -> tuple:
+    """(header, rows) of a v4 cache file, each row's entries as stored."""
+    head, _, payload = data.partition(b"\n")
+    rows, top = [], -1
+    for line in zlib.decompress(payload).decode().splitlines():
+        steps = [int(t) for t in line.split()]
+        row = []
+        if steps:
+            top += steps[0]
+            row.append(top)
+        for step in steps[1:]:
+            row.append(row[-1] - step)
+        rows.append(row[::-1])
+    return json.loads(head), rows
+
+
 __all__ = [
     "all_monomials",
+    "cache_v3",
+    "cache_v4",
     "comb2",
     "dual_sq",
     "format_element",
@@ -313,6 +365,7 @@ __all__ = [
     "one_variable_dimension",
     "primitive_basis",
     "rank2",
+    "read_cache_v4",
     "rref",
     "unvectorize",
     "vectorize",

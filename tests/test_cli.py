@@ -387,6 +387,34 @@ def test_cache_option_refuses_a_file(tmp_path):
     assert r.exit_code == 2 and "is a file" in r.output
 
 
+def test_an_unwritable_cache_costs_the_file_not_the_result(tmp_path, monkeypatch):
+    # a cache path under a regular file: the report is printed and the exit
+    # code is 0; stderr names the file not written, and nothing is created
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("HITQ_CACHE", str(blocker / "cache"))
+    r = _hitq("basis", "--q", "4", "--n", "9", "--jobs", "1")
+    assert r.returncode == 0 and r.stdout == "Q^4_9: dim = 46\n", r.stderr
+    (line,) = r.stderr.splitlines()
+    assert str(blocker / "cache" / "hit-q4-n9-v4.rows") in line
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+    # a write that fails once its temporary file exists (a full disk, say)
+    # removes that file
+    from hitq import hit
+
+    def no_room(*args):
+        raise OSError(28, "No space left on device")
+
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as m:
+        m.setattr(hit.os, "replace", no_room)
+        r = _run("basis", "--q", "4", "--n", "9", "--cache", str(cache))
+    assert r.exit_code == 0
+    (line, report) = r.output.splitlines()
+    assert report == "Q^4_9: dim = 46" and "hit-q4-n9-v4.rows" in line
+    assert list(cache.iterdir()) == []
+
+
 def test_basis_process_imports_only_what_it_runs(tmp_path):
     # -S: no site-packages, so only the interpreter and hitq load modules
     unwanted = ("click", "dataclasses", "inspect", "typing", "concurrent.futures",

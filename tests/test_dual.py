@@ -84,9 +84,8 @@ def test_annihilator_is_the_kernel_of_the_forward_rows():
                + [(5, n) for n in range(21)])
     for q, n in degrees:
         space = hit.quotient_basis(q, n)
-        lines = hit._cache_path(q, n).read_bytes().splitlines()[1:]
-        reduced = oracles.rref(
-            sum(1 << int(c) for c in line.split()) for line in lines)
+        _, rows = oracles.read_cache_v4(hit._cache_path(q, n).read_bytes())
+        reduced = oracles.rref(sum(1 << c for c in row) for row in rows)
         kernel = {f: [f] for f in range(len(space.coords)) if f not in reduced}
         for p, row in reduced.items():
             row ^= 1 << p

@@ -7,7 +7,6 @@ import gc
 import json
 import random
 import tracemalloc
-import zlib
 
 import pytest
 
@@ -98,7 +97,7 @@ def test_generator_stream_is_exact():
 
 
 def test_cache_files_written_in_the_naive_order_still_load(tmp_path, monkeypatch):
-    # a v3 file whose rows come from the naive route's order (sparser rows
+    # a cache file whose rows come from the naive route's order (sparser rows
     # are stored now) loads to the same quotient as a fresh build
     monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
     for q, n in ((4, 33), (5, 20)):
@@ -425,8 +424,11 @@ def test_cache_round_trip():
     for q, n in ((3, 7), (2, 5), (4, 0)):
         qb = hit.quotient_basis(q, n)
         files = list(hit.cache_dir().glob(f"hit-q{q}-n{n}-*"))
-        assert len(files) == 1 and "v3" in files[0].name, files
-        assert len(_split(files[0].read_bytes())[1]) == len(qb.pivots)
+        assert len(files) == 1 and "v4" in files[0].name, files
+        data = files[0].read_bytes()
+        meta, rows = _split(data)
+        assert [r[-1] for r in rows] == qb.pivots
+        assert _join(meta, rows) == data  # the independent writer agrees
         loaded = hit.quotient_basis(q, n)
         assert loaded is not qb
         assert loaded.admissible == qb.admissible
@@ -436,18 +438,8 @@ def test_cache_round_trip():
             assert loaded.reduce_vec(f) == qb.reduce_vec(f), (q, n, m)
 
 
-def _split(data: bytes) -> tuple:
-    """A v3 cache file as (header dict, rows as coordinate lists)."""
-    head, _, payload = data.partition(b"\n")
-    rows = [[int(t) for t in line.split()] for line in payload.splitlines()]
-    return json.loads(head), rows
-
-
-def _join(meta: dict, rows: list) -> bytes:
-    """A v3 cache file with the given header and rows, CRC recomputed."""
-    payload = b"".join(" ".join(map(str, r)).encode() + b"\n" for r in rows)
-    meta = dict(meta, crc32=zlib.crc32(payload))
-    return json.dumps(meta, sort_keys=True).encode() + b"\n" + payload
+_split = oracles.read_cache_v4  # a v4 cache file -> (header, coordinate lists)
+_join = oracles.cache_v4  # (header, rows) -> a v4 cache file, CRC recomputed
 
 
 def _flip(data: bytes, k: int, bit: int = 0) -> bytes:
@@ -509,21 +501,38 @@ def _stale_v1_pair(path, data):
 
 
 def _stale_v2(meta, rows):
-    """The v2 layout of a v3 file: unit block written out, rows unshifted."""
+    """The v2 layout: v3's text lines with the unit block written out, rows
+    unshifted."""
     low = meta.pop("low")
     rows = [[c] for c in range(low)] + [[c + low for c in r] for r in rows]
-    return _join(dict(meta, version=2), rows)
+    return oracles.cache_v3(dict(meta, version=2), rows)
 
 
 def _stale_v2_file(path, data):
     # a v2 file, valid by its own rules, where the v2 layout kept it
-    path.with_name(path.name.replace("-v3.", "-v2.")).write_bytes(
+    path.with_name(path.name.replace("-v4.", "-v2.")).write_bytes(
         _stale_v2(*_split(data)))
     path.unlink()
 
 
 def _stale_v2_in_place(path, data):
     path.write_bytes(_stale_v2(*_split(data)))
+
+
+def _stale_v3(meta, rows):
+    """The v3 layout: each row's coordinates in decimal text, uncompressed."""
+    return oracles.cache_v3(dict(meta, version=3), rows)
+
+
+def _stale_v3_file(path, data):
+    # a v3 file, valid by its own rules, where the v3 layout kept it
+    path.with_name(path.name.replace("-v4.", "-v3.")).write_bytes(
+        _stale_v3(*_split(data)))
+    path.unlink()
+
+
+def _stale_v3_in_place(path, data):
+    path.write_bytes(_stale_v3(*_split(data)))
 
 
 def _header_end(data):
@@ -559,6 +568,12 @@ DAMAGE = {
     "stale-v1-pair": _stale_v1_pair,
     "stale-v2-file": _stale_v2_file,
     "stale-v2-in-place": _stale_v2_in_place,
+    "stale-v3-file": _stale_v3_file,
+    "stale-v3-in-place": _stale_v3_in_place,
+    "not-zlib": lambda p, d: p.write_bytes(  # v3 text under a v4 header
+        oracles.cache_v3(*_split(d))),
+    "negative-gap": _edit_rows(  # the last line ends in a step of -1
+        lambda m, rows: rows[:-1] + [[rows[-1][0] + 1] + rows[-1]]),
 }
 
 
@@ -573,8 +588,21 @@ def test_damaged_cache_file_is_a_miss(damage, tmp_path, monkeypatch):
     DAMAGE[damage](path, path.read_bytes())
     assert hit.cached_quotient(q, n) is None
     assert _pivots(hit.quotient_basis(q, n)) == fresh
-    # the rebuild rewrote a good file, and only the v3 file is read
+    # the rebuild rewrote a good file, only the v4 file is read, and no v3
+    # file is left beside it
     assert _pivots(hit.cached_quotient(q, n)) == fresh
+    assert not list(tmp_path.glob("*-v3.rows"))
+
+
+def test_cache_files_are_compact(tmp_path, monkeypatch):
+    # a v4 file takes at most a quarter of the v3 text of the same rows
+    # (about a seventh at these degrees)
+    monkeypatch.setenv("HITQ_CACHE", str(tmp_path))
+    for q, n in ((4, 33), (5, 24)):
+        hit.quotient_basis(q, n)
+        data = hit._cache_path(q, n).read_bytes()
+        v3 = _stale_v3(*_split(data))
+        assert 4 * len(data) <= len(v3), (q, n, len(data), len(v3))
 
 
 def test_rows_out_of_order_are_a_miss(tmp_path, monkeypatch):
