@@ -3,6 +3,7 @@
 A divided monomial a_1^{(j_1)}...a_q^{(j_q)} is stored as the tuple of its
 orders (j_1,...,j_q) -- the same tuple universe as exponent vectors on the
 polynomial side, which makes the order/exponent pairing a set intersection.
+The right action walks the Cartan splits the hit stream is built from.
 Since <e Sq^t, u> = <e, Sq^t u>, the primitives are the annihilator of the
 hit subspace, read off by transposing the normal-form table of the quotient
 that `hit` builds.
@@ -13,46 +14,42 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from . import action, hit, linalg
-from .poly import Polynomial, binom2
+from . import action, hit, linalg, poly
+from .poly import Polynomial
 
 DividedMonomial = tuple  # tuple[int, ...]
 DualElement = frozenset  # frozenset[DividedMonomial]
 
 
 def dual_element(terms: Iterable[DividedMonomial]) -> DualElement:
-    return linalg.xor_terms(map(tuple, terms))
-
-
-def _dual_sq_monomial(t: int, m: DividedMonomial) -> list:
-    """Terms of (m)Sq^t: distribute t with per-variable factors binom2(j-t_s, t_s)."""
-    q = len(m)
-    out: list = []
-
-    def walk(i: int, remaining: int, acc: list):
-        if i == q:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        j = m[i]
-        for ts in range(min(remaining, j // 2) + 1):
-            if binom2(j - ts, ts):
-                acc.append(j - ts)
-                walk(i + 1, remaining - ts, acc)
-                acc.pop()
-
-    walk(0, t, [])
-    return out
+    """Dual element from terms, duplicates cancelling; ValueError on negative orders."""
+    e = linalg.xor_terms(map(tuple, terms))
+    for m in e:
+        if min(m, default=0) < 0:
+            raise ValueError(f"divided monomial {m} has a negative order")
+    return e
 
 
 def dual_sq(t: int, e: Iterable[DividedMonomial]) -> DualElement:
-    """Right action of Sq^t on a dual element."""
+    """Right action of Sq^t on a dual element: each order j drops by t_j along
+    a split (t_j, j - t_j) of :func:`poly.cartan_splits`, sum t_j = t, so
+    t_j <= j // 2; a walk keeps the partial sums the places left can fill."""
     if t < 0:
         raise ValueError(f"Sq^{t}: t must be non-negative")
+    e = dual_element(e)
     if t == 0:
-        return dual_element(e)
-    return linalg.xor_terms(
-        r for m in e for r in _dual_sq_monomial(t, tuple(m)))
+        return e
+    splits = poly.cartan_splits(max(chain.from_iterable(e), default=0))
+    out: list = []
+    for m in e:
+        partial = [(0, ())]  # (sum of the t_j so far, the orders so far)
+        room = sum(j // 2 for j in m)  # the most that the places left can drop
+        for j in m:
+            room -= j // 2
+            partial = [(s + ts, acc + (r,)) for s, acc in partial
+                       for ts, r in splits[j] if t - room <= s + ts <= t]
+        out.extend(acc for s, acc in partial if s == t)  # q = 0 walks no place
+    return linalg.xor_terms(out)
 
 
 def dual_degree(e: DualElement) -> int:
@@ -65,15 +62,7 @@ def dual_degree(e: DualElement) -> int:
 def is_primitive(e: Iterable[DividedMonomial]) -> bool:
     """True when every positive Steenrod square kills e (Sq^{2^i} suffice)."""
     e = dual_element(e)
-    if not e:
-        return True
-    n = dual_degree(e)
-    i = 0
-    while (1 << i) <= n:
-        if dual_sq(1 << i, e):
-            return False
-        i += 1
-    return True
+    return not any(dual_sq(1 << i, e) for i in range(dual_degree(e).bit_length()))
 
 
 def _annihilator(space: hit.QuotientBasis) -> tuple:

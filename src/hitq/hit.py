@@ -23,9 +23,10 @@ and nothing is memoized across quotients.  A term below low is hit, and
 The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
 monomial u lies in Sq^{2^i}(m) exactly when m_j = u_j - t_j with
-binom2(u_j - t_j, t_j) odd and sum t_j = 2^i (the rule of the right action
-in :mod:`dual`).  Each source (i, m) found this way collects the coordinates
-of its kept terms under one int key: i, then the packed weight of m
+binom2(u_j - t_j, t_j) odd and sum t_j = 2^i: the splits of
+:func:`poly.cartan_splits`, whose table the right action in :mod:`dual`
+walks too.  Each source (i, m) found this way collects the coordinates of
+its kept terms under one int key: i, then the packed weight of m
 (``poly.weight_key`` with n's bit length, which orders every degree <= n as
 that degree's own key does), then m's exponents left-lexicographically, the
 coordinate order of degree n - 2^i for each i in turn.  A left-lex run of u
@@ -155,18 +156,18 @@ def _generator_stream(q: int, n: int, kept: tuple):
     """Nonzero vectors Sq^{2^i}(m), 2^i <= n, m of degree n - 2^i, projected
     onto the kept coordinates kept = kept_monomials(q, n, low) and shifted
     down by low.  By ascending top coordinate, then i, then m's coordinate in
-    degree n - 2^i; built from the kept coordinates (see the module docstring).
+    degree n - 2^i; built from the kept coordinates and the Cartan splits of
+    :func:`poly.cartan_splits` (see the module docstring).
     """
     top = n.bit_length()
     lex = (n + 1) ** q
     wkey = poly.weight_key(q, n)  # on one exponent: its packed weight digits
     # per place j and exponent a: (t_j, key share of m_j = a - t_j) for every
-    # t_j with binom2(a - t_j, t_j) odd, after a neutral place so that q = 1
-    # has a second-to-last one
+    # Cartan split of a, after a neutral place so that q = 1 has a
+    # second-to-last one
     *head, mid, last = [((0, 0),)], *(
-        [[(t, wkey((a - t,)) * lex + (a - t) * (n + 1) ** (q - 1 - j))
-          for t in range(a // 2 + 1) if (a - t) & t == t]
-         for a in range(n + 1)] for j in range(q))
+        [[(t, wkey((m,)) * lex + m * (n + 1) ** (q - 1 - j)) for t, m in pairs]
+         for pairs in poly.cartan_splits(n)] for j in range(q))
     last = [dict(shares) for shares in last]  # a -> {t_last: share}
     tmax = 1 << top >> 1  # the largest 2^i <= n
     per_i = (q + 1) ** top * lex  # weight keys stay below (q+1)^top

@@ -44,6 +44,23 @@ def binom2(a: int, b: int) -> int:
     return 0 if (a - b) & b else 1
 
 
+def cartan_splits(n: int) -> list:
+    """Per order j <= n, the pairs (t, j - t) with binom2(j - t, t) odd, ascending in t.
+
+    Sq^t x^(j-t) has the term x^j, and dually the order j drops by t under
+    Sq^t: the hit stream and the right action both read this table.
+    """
+    out: list = [[] for _ in range(n + 1)]
+    for a in reversed(range(n + 1)):  # descending a: ascending t per order
+        t = 0
+        while a + t <= n:
+            out[a + t].append((t, a))
+            if t == a:
+                break
+            t = (t - a) & a  # the next submask of a
+    return out
+
+
 def poly(terms: Iterable[Monomial]) -> Polynomial:
     """Polynomial from terms with GF(2) cancellation of duplicates."""
     return xor_terms(map(tuple, terms))
@@ -59,30 +76,14 @@ def sq_monomial(t: int, m: Monomial) -> list:
     Distributes t over the variables; the per-variable coefficient is
     C(a_i, t_i) mod 2, nonzero iff the bits of t_i lie inside those of a_i.
     """
-    q = len(m)
-    out: list = []
-
-    def walk(i: int, remaining: int, acc: list):
-        if i == q - 1:
-            if binom2(m[i], remaining):
-                out.append(tuple(acc) + (m[i] + remaining,))
-            return
-        a = m[i]
-        # t_i ranges over submasks of a (C(a, t_i) odd iff t_i's bits lie in a);
-        # the enumeration is numerically increasing, so stop past `remaining`
-        ti = 0
-        while ti <= remaining:
-            acc.append(a + ti)
-            walk(i + 1, remaining - ti, acc)
-            acc.pop()
-            if ti == a:
-                break
-            ti = (ti - a) & a
-
-    if q == 0:
-        return [()] if t == 0 else []
-    walk(0, t, [])
-    return out
+    partial = [(0, ())]  # (sum of the t_i so far, the exponents so far)
+    room = sum(m)  # t_i <= a_i: the most that the places left can add
+    for a in m:
+        room -= a
+        ups = [ti for ti in range(min(a, t) + 1) if ti & a == ti]
+        partial = [(s + ti, acc + (a + ti,)) for s, acc in partial
+                   for ti in ups if t - room <= s + ti <= t]
+    return [acc for s, acc in partial if s == t]
 
 
 def sq(t: int, f: Polynomial) -> Polynomial:
@@ -279,6 +280,7 @@ __all__ = [
     "alpha",
     "mu",
     "binom2",
+    "cartan_splits",
     "poly",
     "add",
     "sq",

@@ -1,40 +1,47 @@
-"""Chain-level transfer into the lambda algebra and per-degree image reports."""
+"""Chain-level transfer into the lambda algebra and per-degree image reports.
+
+psi is computed level by level over the first orders of a dual element's
+terms, acting on the tails by the right Steenrod action; it keeps no memo,
+and it returns the raw word set, which transfer_class normalizes.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import defaultdict
+from itertools import chain
 
 from . import action, dual, lam, linalg
 
 
-@lru_cache(maxsize=None)
-def _psi_orders(orders: tuple) -> frozenset:
-    """Raw word set of psi on one divided monomial (no normalization).
-
-    Recursion over the first order: each summand applies Sq^{k-j_1} to the
-    tail and appends lambda_k; the sum over k stops at j_1 + deg(tail) since
-    the dual action kills larger shifts.
-    """
-    if not orders:
-        return frozenset({()})
-    if len(orders) == 1:
-        return frozenset({(orders[0],)})
-    j1, rest = orders[0], orders[1:]
-    return linalg.xor_terms(
-        w + (k,)
-        for k in range(j1, j1 + sum(rest) + 1)
-        for r in dual.dual_sq(k - j1, [rest])
-        for w in _psi_orders(r)
-    )
+def _psi_levels(e: dual.DualElement) -> lam.Element:
+    """Raw words of psi(e), e's terms all of one length: with S_k the sum over
+    j_1 of (the tails of first order j_1) Sq^{k - j_1}, which cancels before
+    the next level, psi(e) = sum_k psi(S_k) lambda_k; one order is one word."""
+    if not e or len(next(iter(e))) < 2:
+        return e
+    tails, reach = defaultdict(list), defaultdict(int)
+    for j1, *rest in e:
+        tails[j1].append(rest)
+        # an order j drops by at most j // 2, so Sq^t kills a tail past that sum
+        reach[j1] = max(reach[j1], sum(j // 2 for j in rest))
+    words = []
+    for k in range(min(tails), max(j1 + r for j1, r in reach.items()) + 1):
+        s_k = linalg.xor_terms(chain.from_iterable(
+            dual.dual_sq(k - j1, ts) for j1, ts in tails.items()
+            if 0 <= k - j1 <= reach[j1]))
+        words.extend(w + (k,) for w in _psi_levels(s_k))
+    return frozenset(words)
 
 
 def psi(q: int, e) -> lam.Element:
-    """The chain-level transfer of a dual element; output is NOT normalized."""
+    """The chain-level transfer of a dual element: its raw word set, NOT
+    normalized, built level by level with no memo.  ValueError on a term
+    without q orders or with a negative order."""
     terms = [tuple(m) for m in e]
     for m in terms:
         if len(m) != q:
             raise ValueError(f"term {m} does not have {q} orders")
-    return lam.add(*map(_psi_orders, terms))
+    return _psi_levels(dual.dual_element(terms))
 
 
 def transfer_class(e, q: int):

@@ -5,7 +5,8 @@ naive Cartan-formula Steenrod squares via math.comb, dict-based Gaussian
 elimination over lexicographically ordered monomials, Gauss-Jordan on int
 rows, a batch all-generators hit-space construction, the literal
 subspace-intersection route to the weight blocks, the primitives as the
-common kernel of the dual Sq^{2^i} functionals, the least weight of a spike
+common kernel of the dual Sq^{2^i} functionals, the chain-level transfer psi
+by recursion on one divided monomial at a time, the least weight of a spike
 by trying every tuple, a text rendering of lambda elements, and a reader and
 writers of the cache file layouts.
 Nothing imports hitq.
@@ -178,28 +179,53 @@ def intersect_coordinate_subspace(gens, width: int, allowed: int) -> list:
     return [row for row in pivots.values() if not row & blocked]
 
 
-def _splits(t: int, bounds: tuple):
-    """Tuples (t_1, ..., t_q) summing to t with 0 <= t_s <= bounds[s]."""
-    if not bounds:
-        if t == 0:
-            yield ()
+def _splits(t: int, m: tuple):
+    """Tuples (t_1, ..., t_q) summing to t with C(j_s - t_s, t_s) odd at
+    every order j_s of m; the coefficient vanishes once 2 t_s > j_s."""
+    if t > sum(j // 2 for j in m):
         return
-    for s in range(min(t, bounds[0]) + 1):
-        for rest in _splits(t - s, bounds[1:]):
-            yield (s,) + rest
+    if not m:
+        yield ()
+        return
+    for s in range(min(t, m[0] // 2) + 1):
+        if comb2(m[0] - s, s):
+            for rest in _splits(t - s, m[1:]):
+                yield (s,) + rest
 
 
 def dual_sq(t: int, m: Mono) -> set:
     """(m)Sq^t for a divided monomial m of orders (j_1, ..., j_q).
 
     Dual to the Cartan rule Sq^s(x^a) = C(a, s) x^(a+s): order j drops by
-    t_s with coefficient C(j - t_s, t_s) mod 2, over splits t = sum t_s;
-    the coefficient vanishes once 2 t_s > j.
+    t_s with coefficient C(j - t_s, t_s) mod 2, over splits t = sum t_s.
     """
     out: set = set()
-    for split in _splits(t, tuple(j // 2 for j in m)):
-        if all(comb2(j - s, s) for j, s in zip(m, split)):
-            out ^= {tuple(j - s for j, s in zip(m, split))}
+    for split in _splits(t, m):
+        out ^= {tuple(j - s for j, s in zip(m, split))}
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_term(m: Mono) -> frozenset:
+    """Raw lambda words of psi on one divided monomial, by recursion on the
+    first order: (j_1, rest) gives psi((rest)Sq^(k - j_1)) lambda_k for
+    every k >= j_1, the tail's dual square vanishing past j_1 + deg(rest)."""
+    if len(m) < 2:
+        return frozenset({m})
+    j1, rest = m[0], m[1:]
+    out: set = set()
+    for k in range(j1, j1 + sum(rest) + 1):
+        for r in dual_sq(k - j1, rest):
+            out ^= {w + (k,) for w in _psi_term(r)}
+    return frozenset(out)
+
+
+def psi(e) -> set:
+    """Singer's chain-level transfer on a set of divided monomials: the raw
+    (un-normalised) set of lambda words, one word per summand mod 2."""
+    out: set = set()
+    for m in e:
+        out ^= _psi_term(tuple(m))
     return out
 
 

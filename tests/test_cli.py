@@ -230,6 +230,14 @@ def test_transfer_json_and_csv_shape():
                    "kind": "transfer"}
 
 
+def test_transfer_report_is_pinned():
+    # the JSON report at the benchmark's transfer degrees, byte for byte;
+    # regenerate the file only for an intended change to the report
+    r = _run("transfer", "--q", "4", "--degrees", "9,17,21,45", "--format", "json")
+    assert r.exit_code == 0
+    assert r.output == (ROOT / "tests" / "transfer-q4-9-17-21-45.json").read_text()
+
+
 def test_cache_flag_writes_to_directory(tmp_path):
     from hitq import hit
 

@@ -29,6 +29,25 @@ def test_dual_sq_is_the_adjoint_of_sq():
             assert lhs == rhs, (n, t)
 
 
+def test_dual_sq_matches_the_oracle_on_random_monomials():
+    # the split-table walk against the oracle's brute-force splits, far past
+    # the adjoint test's q <= 3 and n <= 10
+    rng = random.Random(29)
+    for _ in range(1000):
+        m = tuple(rng.randint(0, 40) for _ in range(rng.randint(0, 6)))
+        t = rng.randint(0, 60)
+        assert dual.dual_sq(t, [m]) == oracles.dual_sq(t, m), (t, m)
+
+
+def test_negative_orders_are_rejected():
+    for bad in ([(-1, 3)], [(2, 1), (0, -2)]):
+        for t in (0, 1, 2):
+            with pytest.raises(ValueError):
+                dual.dual_sq(t, bad)
+        with pytest.raises(ValueError):
+            dual.is_primitive(bad)
+
+
 def test_pairing_is_bilinear():
     rng = random.Random(11)
     uni = poly.monomials(3, 7)

@@ -12,7 +12,7 @@ import pytest
 
 import fixtures
 import oracles
-from hitq import action, dual, hit, linalg, poly
+from hitq import action, dual, hit, linalg, poly, transfer
 
 
 def test_dimensions_match_brute_force_oracle():
@@ -702,6 +702,22 @@ def test_no_degree_outlives_its_job(tmp_path, monkeypatch):
             hit.quotient_basis(q, n)  # builds and writes
             action.invariant_subspace(hit.quotient_basis(q, n),  # loads
                                       action.sigma_generators(q))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left < 0.25 * 2**20, left
+
+
+def test_psi_keeps_nothing():
+    # psi is computed level by level with no memo: after the 286-term
+    # (4,22) generator, nothing of its words or its divided monomials stays
+    ((e, _),) = dual.coinvariant_generators(4, 22, action.gl_generators(4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transfer.psi(4, e)
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
     finally:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import fixtures
-from hitq import dual, lam, transfer
+import oracles
+from hitq import action, dual, lam, transfer
 
 
 def test_psi_component_expansions():
@@ -37,6 +40,33 @@ def test_psi_on_one_variable_spikes():
 def test_psi_rejects_wrong_arity():
     with pytest.raises(ValueError):
         transfer.psi(3, dual.dual_element([(1, 2, 3, 4)]))
+
+
+def test_psi_rejects_negative_orders():
+    with pytest.raises(ValueError):
+        transfer.psi(2, [(-1, 3)])
+
+
+def test_psi_matches_the_oracle_on_coinvariant_generators():
+    # raw word sets, before any normalisation: the level-wise psi against
+    # the recursion on one divided monomial at a time
+    gens = action.gl_generators(4)
+    for n in (9, 17, 22, 45):
+        elements = [e for e, _ in dual.coinvariant_generators(4, n, gens)]
+        assert elements, n
+        for e in elements:
+            assert transfer.psi(4, e) == oracles.psi(e), n
+
+
+def test_psi_matches_the_oracle_on_random_elements():
+    # empty, inhomogeneous and repeated-term elements, q = 0 to 5
+    rng = random.Random(31)
+    for q in range(6):
+        assert transfer.psi(q, []) == oracles.psi([]) == lam.ZERO
+        for _ in range(40):
+            terms = [tuple(rng.randint(0, 7) for _ in range(q))
+                     for _ in range(rng.randint(1, 8))]
+            assert transfer.psi(q, terms) == oracles.psi(terms), (q, terms)
 
 
 def test_transfer_class_requires_a_primitive():
