@@ -3,7 +3,7 @@
 A divided monomial a_1^{(j_1)}...a_q^{(j_q)} is stored as the tuple of its
 orders (j_1,...,j_q) -- the same tuple universe as exponent vectors on the
 polynomial side, which makes the order/exponent pairing a set intersection.
-The right action walks the Cartan splits the hit stream is built from.
+The right action reads :func:`poly.cartan_splits`, as the hit stream does.
 Since <e Sq^t, u> = <e, Sq^t u>, the primitives are the annihilator of the
 hit subspace, read off by transposing the normal-form table of the quotient
 that `hit` builds.
@@ -32,22 +32,22 @@ def dual_element(terms: Iterable[DividedMonomial]) -> DualElement:
 
 def dual_sq(t: int, e: Iterable[DividedMonomial]) -> DualElement:
     """Right action of Sq^t on a dual element: each order j drops by t_j along
-    a split (t_j, j - t_j) of :func:`poly.cartan_splits`, sum t_j = t, so
+    a split (t_j, j - t_j) of ``poly.cartan_splits(j)``, sum t_j = t, so
     t_j <= j // 2; a walk keeps the partial sums the places left can fill."""
     if t < 0:
         raise ValueError(f"Sq^{t}: t must be non-negative")
     e = dual_element(e)
     if t == 0:
         return e
-    splits = poly.cartan_splits(max(chain.from_iterable(e), default=0))
     out: list = []
     for m in e:
         partial = [(0, ())]  # (sum of the t_j so far, the orders so far)
         room = sum(j // 2 for j in m)  # the most that the places left can drop
         for j in m:
             room -= j // 2
+            splits = poly.cartan_splits(j)  # once per place, not per partial sum
             partial = [(s + ts, acc + (r,)) for s, acc in partial
-                       for ts, r in splits[j] if t - room <= s + ts <= t]
+                       for ts, r in splits if t - room <= s + ts <= t]
         out.extend(acc for s, acc in partial if s == t)  # q = 0 walks no place
     return linalg.xor_terms(out)
 

@@ -23,17 +23,16 @@ and nothing is memoized across quotients.  A term below low is hit, and
 The stream is built from the kept coordinates, not from the sources.  A
 Cartan term of Sq^t(m) adds a submask t_j of each exponent m_j, so a kept
 monomial u lies in Sq^{2^i}(m) exactly when m_j = u_j - t_j with
-binom2(u_j - t_j, t_j) odd and sum t_j = 2^i: the splits of
-:func:`poly.cartan_splits`, whose table the right action in :mod:`dual`
-walks too.  Each source (i, m) found this way collects the coordinates of
-its kept terms under one int key: i, then the packed weight of m
-(``poly.weight_key`` with n's bit length, which orders every degree <= n as
-that degree's own key does), then m's exponents left-lexicographically, the
-coordinate order of degree n - 2^i for each i in turn.  A left-lex run of u
-shares the splits of all but its last two places, and the last place is a
-lookup of 2^i - t.  The kept coordinates are walked from the top down, so
-the first u to reach a source is its top: the vectors are the plain
-Sq^{2^i}(m) images projected, shifted, zeros dropped and stably sorted by
+binom2(u_j - t_j, t_j) odd and sum t_j = 2^i: the rows u_j of
+:func:`poly.cartan_splits`, which :mod:`dual` and :mod:`lam` read too.
+Each source (i, m) found this way collects the coordinates of its kept
+terms under one int key: i, then the packed weight of m (``poly.weight_key``
+with n's bit length, which orders every degree <= n as that degree's own
+key does), then m's exponents left-lexicographically, the coordinate order
+of degree n - 2^i for each i in turn.  A left-lex run of u shares the
+splits of all but its last two places, and the last place is a lookup of
+2^i - t.  The kept coordinates are walked from the top down, so the first
+u to reach a source is its top: the vectors are the plain Sq^{2^i}(m) images projected, shifted, zeros dropped and stably sorted by
 pivot, so one whose top is no pivot yet is stored unreduced.  Each is built
 as it is yielded, and no source-degree universe is built.
 
@@ -167,7 +166,7 @@ def _generator_stream(q: int, n: int, kept: tuple):
     # second-to-last one
     *head, mid, last = [((0, 0),)], *(
         [[(t, wkey((m,)) * lex + m * (n + 1) ** (q - 1 - j)) for t, m in pairs]
-         for pairs in poly.cartan_splits(n)] for j in range(q))
+         for pairs in map(poly.cartan_splits, range(n + 1))] for j in range(q))
     last = [dict(shares) for shares in last]  # a -> {t_last: share}
     tmax = 1 << top >> 1  # the largest 2^i <= n
     per_i = (q + 1) ** top * lex  # weight keys stay below (q+1)^top

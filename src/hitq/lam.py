@@ -8,6 +8,7 @@ of words (GF(2) coefficients).  Inadmissible pairs rewrite by
 
 and the differential is d(lambda_m) = sum_{j>=1} binom2(m-j, j)
 lambda_{m-j} lambda_{j-1}, extended as a derivation over concatenation.
+Both read their terms from the rows n - 1 and m of :func:`poly.cartan_splits`.
 
 Literature sources that print words with the mirrored admissibility
 convention (i_k <= 2*i_{k+1}) are transcribed here by reversing each word;
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
 from .linalg import EchelonBasis, solve_combination, xor_terms
-from .poly import binom2
+from .poly import cartan_splits
 
 Word = tuple  # tuple[int, ...]
 Element = frozenset  # frozenset[Word]
@@ -29,9 +30,18 @@ Element = frozenset  # frozenset[Word]
 ZERO: Element = frozenset()
 
 
+def _words(e: Iterable[Word]) -> list:
+    """The words of e as tuples; ValueError on a negative letter."""
+    words = [tuple(w) for w in e]
+    for w in words:
+        if min(w, default=0) < 0:
+            raise ValueError(f"lambda word {w} has a negative letter")
+    return words
+
+
 def element(words: Iterable[Word]) -> Element:
     """Element from words with GF(2) cancellation of duplicates."""
-    return xor_terms(map(tuple, words))
+    return xor_terms(_words(words))
 
 
 def add(*es: Element) -> Element:
@@ -40,22 +50,18 @@ def add(*es: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def _pair_rewrite(i: int, j: int) -> tuple:
-    """Admissible-pair expansion of the inadmissible pair lambda_i lambda_j."""
-    n = j - 2 * i - 1
-    out = []
-    for t in range((n - 1) // 2 + 1):
-        if binom2(n - 1 - t, t):
-            out.append((i + n - t, 2 * i + 1 + t))
-    return tuple(out)
+    """Admissible expansion of lambda_i lambda_j, j >= 2i + 1; () at j = 2i + 1."""
+    return tuple((i + 1 + a, 2 * i + 1 + t) for t, a in cartan_splits(j - 2 * i - 2))
 
 
 def normalize(e: Iterable[Word]) -> Element:
     """Admissible normal form, rewriting the leftmost inadmissible pair."""
-    return xor_terms(_admissible_expansion([tuple(w) for w in e]))
+    return _normal_form(_words(e))
 
 
-def _admissible_expansion(pending: list):
-    """Yield the admissible words the pending words rewrite to, with repeats."""
+def _normal_form(pending: list) -> Element:
+    """normalize on checked words or their rewrites; consumes the list."""
+    out: list = []
     while pending:
         w = pending.pop()
         for k in range(len(w) - 1):
@@ -65,21 +71,20 @@ def _admissible_expansion(pending: list):
                     pending.append(head + (a, b) + tail)
                 break
         else:
-            yield w
+            out.append(w)
+    return xor_terms(out)
 
 
 def multiply(e1: Iterable[Word], e2: Iterable[Word]) -> Element:
     """Concatenation product followed by normalization."""
-    raw = [tuple(w1) + tuple(w2) for w1 in e1 for w2 in e2]
-    return normalize(raw)
+    e2 = _words(e2)  # once, not once per word of e1
+    return _normal_form([w1 + w2 for w1 in _words(e1) for w2 in e2])
 
 
 @lru_cache(maxsize=None)
 def _d_letter(m: int) -> tuple:
     """Two-letter terms of d(lambda_m)."""
-    return tuple(
-        (m - j, j - 1) for j in range(1, m // 2 + 1) if binom2(m - j, j)
-    )
+    return tuple((a, t - 1) for t, a in cartan_splits(m) if t)
 
 
 def _d_word(w: Word) -> list:
@@ -95,14 +100,14 @@ def _d_word(w: Word) -> list:
 def differential(e: Iterable[Word]) -> Element:
     """d extended as a derivation; output normalized."""
     raw: list = []
-    for w in e:
-        raw.extend(_d_word(tuple(w)))
-    return normalize(raw)
+    for w in _words(e):
+        raw.extend(_d_word(w))
+    return _normal_form(raw)
 
 
 def theta(e: Iterable[Word]) -> Element:
     """The endomorphism lambda_n -> lambda_{2n+1}, applied letterwise."""
-    return normalize([tuple(2 * i + 1 for i in w) for w in e])
+    return _normal_form([tuple(2 * i + 1 for i in w) for w in _words(e)])
 
 
 @lru_cache(maxsize=None)

@@ -44,21 +44,15 @@ def binom2(a: int, b: int) -> int:
     return 0 if (a - b) & b else 1
 
 
-def cartan_splits(n: int) -> list:
-    """Per order j <= n, the pairs (t, j - t) with binom2(j - t, t) odd, ascending in t.
+@lru_cache(maxsize=None)
+def cartan_splits(j: int) -> tuple:
+    """The pairs (t, j - t) with binom2(j - t, t) odd, ascending in t; () when j < 0.
 
     Sq^t x^(j-t) has the term x^j, and dually the order j drops by t under
-    Sq^t: the hit stream and the right action both read this table.
+    Sq^t.  This is the one statement of the Cartan rule: the hit stream, the
+    right action in :mod:`dual` and both rules of :mod:`lam` read it.
     """
-    out: list = [[] for _ in range(n + 1)]
-    for a in reversed(range(n + 1)):  # descending a: ascending t per order
-        t = 0
-        while a + t <= n:
-            out[a + t].append((t, a))
-            if t == a:
-                break
-            t = (t - a) & a  # the next submask of a
-    return out
+    return tuple((t, j - t) for t in range(j // 2 + 1) if binom2(j - t, t))
 
 
 def poly(terms: Iterable[Monomial]) -> Polynomial:

@@ -7,8 +7,9 @@ rows, a batch all-generators hit-space construction, the literal
 subspace-intersection route to the weight blocks, the primitives as the
 common kernel of the dual Sq^{2^i} functionals, the chain-level transfer psi
 by recursion on one divided monomial at a time, the least weight of a spike
-by trying every tuple, a text rendering of lambda elements, and a reader and
-writers of the cache file layouts.
+by trying every tuple, the lambda algebra's pair rewrite and differential
+straight from their binomial formulas, a text rendering of lambda elements,
+and a reader and writers of the cache file layouts.
 Nothing imports hitq.
 """
 
@@ -28,6 +29,20 @@ def comb2(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b) % 2
+
+
+def pair_rewrite(i: int, j: int) -> tuple:
+    """Lambda_i lambda_j for j = 2i + 1 + n, n >= 0, as the sum over t of
+    C(n - 1 - t, t) lambda_{i+n-t} lambda_{2i+1+t}: the (first, second)
+    letters of its terms, ascending in t."""
+    n = j - 2 * i - 1
+    return tuple((i + n - t, 2 * i + 1 + t) for t in range(n) if comb2(n - 1 - t, t))
+
+
+def d_letter(m: int) -> tuple:
+    """d(lambda_m) as the sum over j >= 1 of C(m - j, j) lambda_{m-j}
+    lambda_{j-1}: the (first, second) letters of its terms, ascending in j."""
+    return tuple((m - j, j - 1) for j in range(1, m + 1) if comb2(m - j, j))
 
 
 def naive_sq(t: int, f: set) -> set:

@@ -364,6 +364,25 @@ def test_library_has_no_assert_statements():
         assert lines == [], (path.name, lines)
 
 
+def test_binom2_is_called_only_by_cartan_splits():
+    # the Cartan rule is stated once: every other rule reads the rows of
+    # poly.cartan_splits, so no other code names binom2 (nor imports it)
+    uses = []
+    for path in sorted(Path(hitq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = {id(node) for f in ast.walk(tree) if path.name == "poly.py"
+                and isinstance(f, ast.FunctionDef) and f.name == "cartan_splits"
+                for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            if "binom2" in names and not isinstance(node, ast.FunctionDef):
+                uses.append((path.name, node.lineno, id(node) in home))
+    assert [use for use in uses if not use[2]] == [], uses
+    assert any(home for _, _, home in uses), uses
+
+
 COMMAND_OPTIONS = {
     "basis": ("--q", "--n", "--degrees", "--format", "--cache", "--jobs",
               "--allow-long", "--by-weight", "--omega"),

@@ -22,6 +22,31 @@ def test_element_cancels_duplicates():
     assert lam.add(frozenset({(1,)}), frozenset({(1,)})) == lam.ZERO
 
 
+def test_negative_letters_raise():
+    # unchecked, normalize([(-1, 0)]) gave {(0, -1)}, theta([(-1,)]) gave
+    # {(-1,)} and identify_class failed inside admissible_basis
+    for call in (lam.element, lam.normalize, lam.differential, lam.theta,
+                 lam.identify_class, lambda e: lam.multiply(e, []),
+                 lambda e: lam.multiply([(2,)], e)):
+        for e in ([(-1, 0)], [(-1,)]):
+            with pytest.raises(ValueError, match="negative letter"):
+                call(e)
+
+
+def test_multiply_reads_a_one_pass_factor_once():
+    want = lam.multiply([(1,), (2,)], [(3,), (1,)])
+    assert want == {(1, 1), (2, 1), (2, 3)}
+    assert lam.multiply(iter([(1,), (2,)]), iter([(3,), (1,)])) == want
+
+
+def test_pair_rewrite_and_d_letter_match_the_formulas():
+    for i in range(60):
+        for j in range(2 * i + 1, 2 * i + 150):
+            assert lam._pair_rewrite(i, j) == oracles.pair_rewrite(i, j), (i, j)
+    for m in range(301):
+        assert lam._d_letter(m) == oracles.d_letter(m), m
+
+
 def test_admissible_basis_matches_brute_enumeration():
     for s in range(1, 5):
         for n in range(0, 14):

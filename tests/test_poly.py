@@ -167,6 +167,12 @@ def test_substitution_rejects_singular_matrix():
         raise AssertionError("expected ValueError")
 
 
+def test_cartan_splits_are_the_odd_binomials():
+    for j in range(-3, 301):
+        want = tuple((t, j - t) for t in range(j + 1) if oracles.comb2(j - t, t))
+        assert poly.cartan_splits(j) == want, j
+
+
 def test_bad_arguments_raise_value_error():
     eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     bad_calls = [
