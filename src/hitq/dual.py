@@ -6,13 +6,14 @@ polynomial side, which makes the order/exponent pairing a set intersection.
 The right action reads :func:`poly.cartan_splits`, as the hit stream does.
 Since <e Sq^t, u> = <e, Sq^t u>, the primitives are the annihilator of the
 hit subspace, read off by transposing the normal-form table of the quotient
-that `hit` builds.
+that `hit` builds.  Each holds one admissible monomial, so a coinvariant
+generator is looked up, not solved for: the sparsest primitive whose pairing
+column is its invariant alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 
 from . import action, hit, linalg, poly
 from .poly import Polynomial
@@ -98,11 +99,14 @@ def pairing(e: Iterable[DividedMonomial], f: Polynomial) -> int:
 def coinvariant_generators(q: int, n: int, gens) -> list:
     """Primitive duals pairing delta-wise against the invariant classes.
 
-    For each invariant basis class [u_a] of the quotient under `gens`, produce
-    a primitive e_a with pairing(e_a, u_b) = delta_ab; the certificate is that
-    pairing row, recomputed from the returned element.  Primitive k holds one
-    admissible monomial, the k-th, and u_b is a sum of admissible ones, so
-    the pairing columns are the invariant vectors transposed.
+    For each invariant basis class [u_a] of the quotient under `gens`, the
+    sparsest basis primitive e_a with pairing(e_a, u_b) = delta_ab, the lowest
+    on a tie; the certificate is that pairing row, recomputed from the returned
+    element.  Primitive k holds one admissible monomial, the k-th, and u_b is
+    a sum of admissible ones, so the pairing columns are the invariant vectors
+    transposed.  Those are the rref kernel basis: u_a alone has its own free
+    coordinate, whose column is [a], so every invariant has a candidate, and
+    any of them is the same coinvariant.
     """
     space = hit.quotient_basis(q, n)
     vecs = action.invariant_subspace(space, gens)
@@ -110,18 +114,11 @@ def coinvariant_generators(q: int, n: int, gens) -> list:
         return []
     invs = [space.poly_of_vec(v) for v in vecs]
     prims = _annihilator(space)
-    # column k: bit b set when primitive k pairs to 1 with invariant b
-    columns = [linalg.from_support(c) for c in linalg.transpose(vecs, space.dim)]
+    columns = linalg.transpose(vecs, space.dim)
     out = []
     for a in range(len(invs)):
-        sol = linalg.solve_combination(columns, 1 << a)
-        if sol is None:
-            raise RuntimeError(
-                f"no primitive pairs against invariant {a} at (q={q}, n={n}); "
-                "duality between primitives and the quotient is broken"
-            )
-        e = linalg.xor_terms(
-            chain.from_iterable(prims[k] for k in linalg.support(sol)))
+        e = min((p for p, col in zip(prims, columns) if col == [a]),
+                key=len, default=frozenset())
         cert = tuple(pairing(e, u) for u in invs)
         if cert != tuple(int(b == a) for b in range(len(invs))):
             raise RuntimeError(f"primitive {a} at (q={q}, n={n}) pairs as {cert}")

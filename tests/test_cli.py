@@ -231,11 +231,14 @@ def test_transfer_json_and_csv_shape():
 
 
 def test_transfer_report_is_pinned():
-    # the JSON report at the benchmark's transfer degrees, byte for byte;
-    # regenerate the file only for an intended change to the report
-    r = _run("transfer", "--q", "4", "--degrees", "9,17,21,45", "--format", "json")
-    assert r.exit_code == 0
-    assert r.output == (ROOT / "tests" / "transfer-q4-9-17-21-45.json").read_text()
+    # the JSON report byte for byte, at the benchmark's transfer degrees and
+    # at four where a generator is the sparsest candidate, not the first;
+    # regenerate a file only for an intended change to the report
+    for degrees in ("9,17,21,45", "18,22,33,38"):
+        r = _run("transfer", "--q", "4", "--degrees", degrees, "--format", "json")
+        assert r.exit_code == 0
+        pinned = ROOT / "tests" / f"transfer-q4-{degrees.replace(',', '-')}.json"
+        assert r.output == pinned.read_text(), degrees
 
 
 def test_cache_flag_writes_to_directory(tmp_path):

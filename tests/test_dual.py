@@ -8,7 +8,7 @@ import pytest
 
 import fixtures
 import oracles
-from hitq import action, dual, hit, linalg, poly
+from hitq import action, dual, hit, lam, linalg, poly, transfer
 
 
 def test_dual_sq_zero_is_identity():
@@ -185,12 +185,65 @@ def test_coinvariant_generators_certificates():
 
 
 def test_coinvariant_generators_for_several_invariants():
-    # four sigma invariants at n = 9: the solve runs over a 4-column system
+    # four sigma invariants at n = 9: one lookup per invariant, each certified
     got = dual.coinvariant_generators(4, 9, action.sigma_generators(4))
     assert [cert for _, cert in got] == [
         tuple(int(a == b) for b in range(4)) for a in range(4)]
     for e, _ in got:
         assert dual.is_primitive(e) and dual.dual_degree(e) == 9
+
+
+def test_an_invariant_without_a_candidate_fails_the_certificate(monkeypatch):
+    # the lookup needs the rref invariant basis: with u_0 + u_1 in place of
+    # u_0, no primitive pairs with u_1 alone, and the certificate check raises
+    real = action.invariant_subspace
+
+    def mixed(space, gens):
+        v0, v1, *rest = real(space, gens)
+        return [v0 ^ v1, v1, *rest]
+
+    monkeypatch.setattr(action, "invariant_subspace", mixed)
+    with pytest.raises(RuntimeError, match=r"primitive 1 .* pairs as \(0, 0, 0, 0\)"):
+        dual.coinvariant_generators(4, 9, action.sigma_generators(4))
+
+
+def _candidates(q, n, kind):
+    """Per invariant a, the annihilator primitives whose pairing row against
+    the invariants is e_a, ascending, computed with pairing() alone."""
+    space = hit.quotient_basis(q, n)
+    vecs = action.invariant_subspace(space, action.group_generators(q, kind))
+    invs = [space.poly_of_vec(v) for v in vecs]
+    rows = [(p, [dual.pairing(p, u) for u in invs]) for p in dual._annihilator(space)]
+    return [[p for p, row in rows if row == [int(b == a) for b in range(len(invs))]]
+            for a in range(len(invs))]
+
+
+def test_coinvariant_generators_are_the_sparsest_candidates():
+    # the lookup's contract: every invariant has a candidate (the invariants
+    # are the rref kernel basis, so each owns a free coordinate), and the
+    # generator is the first of the fewest terms
+    for q, n, kind in ((4, 9, "gl"), (4, 9, "sigma"), (4, 18, "gl"),
+                       (4, 22, "gl"), (4, 38, "gl"), (5, 15, "gl")):
+        cands = _candidates(q, n, kind)
+        got = dual.coinvariant_generators(q, n, action.group_generators(q, kind))
+        assert len(got) == len(cands) > 0, (q, n, kind)
+        for a, ((e, _), cs) in enumerate(zip(got, cands)):
+            assert cs, (q, n, kind, a)
+            fewest = min(map(len, cs))
+            assert e == next(c for c in cs if len(c) == fewest), (q, n, kind, a)
+
+
+def test_every_candidate_is_the_same_transfer_class():
+    # the transfer is well defined on coinvariants: at (4,22) and (4,38),
+    # every candidate, the densest included, gives the generator's class
+    gens = action.gl_generators(4)
+    for n, densest in ((22, [286]), (38, [1746, 2198])):
+        cands = _candidates(4, n, "gl")
+        assert [max(map(len, cs)) for cs in cands] == densest, n
+        for (e, _), cs in zip(dual.coinvariant_generators(4, n, gens), cands):
+            z = lam.normalize(transfer.psi(4, e))
+            for c in cs:
+                assert lam.classes_equal(lam.normalize(transfer.psi(4, c)), z)[0], n
 
 
 def test_pairing_columns_are_the_invariant_vectors_transposed():

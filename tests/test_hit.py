@@ -710,9 +710,15 @@ def test_no_degree_outlives_its_job(tmp_path, monkeypatch):
 
 
 def test_psi_keeps_nothing():
-    # psi is computed level by level with no memo: after the 286-term
-    # (4,22) generator, nothing of its words or its divided monomials stays
-    ((e, _),) = dual.coinvariant_generators(4, 22, action.gl_generators(4))
+    # psi is computed level by level with no memo: after the densest
+    # primitive that represents the (4,22) coinvariant, 286 terms, nothing of
+    # its words or its divided monomials stays
+    space = hit.quotient_basis(4, 22)
+    (vec,) = action.invariant_subspace(space, action.gl_generators(4))
+    e = max((p for p, col in zip(dual._annihilator(space),
+                                 linalg.transpose([vec], space.dim)) if col == [0]),
+            key=len)
+    assert len(e) == 286
     gc.collect()
     tracemalloc.start()
     try:

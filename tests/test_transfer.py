@@ -134,3 +134,30 @@ def test_low_rank_transfers_name_the_hopf_classes():
                        (2, 8, "h_1h_3")):
         report = transfer.transfer_image_report(q, n)
         assert report.image == (want,) and not report.unidentified, (q, n)
+
+
+# the paper's generic degrees: 2^{s+t+1} + 2^{s+1} - 3 with t != 3, and
+# 2^{s+t} + 2^s - 2 with t not in {2, 3, 4}, s >= 1 in both
+FIRST_FAMILY = (5, 9, 13, 17, 21, 29, 37, 45)
+SECOND_FAMILY = (2, 4, 6, 10, 14, 22, 30, 46)
+# dim (Q^4_n)^GL for n <= 46, 0 where not listed
+GL_DIMS = {7: 1, 9: 1, 14: 1, 15: 1, 17: 1, 18: 2, 22: 1, 23: 1, 30: 1,
+           31: 1, 32: 1, 33: 1, 34: 1, 38: 2, 39: 1, 40: 2, 41: 1, 45: 1}
+
+
+def test_singer_transfer_is_injective_in_rank_4():
+    # the paper's theorem at every n <= 46, its generic degrees among them:
+    # no nonempty sum of the GL-coinvariant generators' cycles is a boundary
+    pairs = [(s, t) for s in range(1, 6) for t in range(6)]  # every n <= 46
+    first = {2 ** (s + t + 1) + 2 ** (s + 1) - 3 for s, t in pairs if t != 3}
+    second = {2 ** (s + t) + 2 ** s - 2 for s, t in pairs if t not in (2, 3, 4)}
+    assert sorted(n for n in first if n <= 46) == list(FIRST_FAMILY)
+    assert sorted(n for n in second if n <= 46) == list(SECOND_FAMILY)
+    gens = action.gl_generators(4)
+    for n in range(1, 47):
+        cycles = [lam.normalize(transfer.psi(4, e))
+                  for e, _ in dual.coinvariant_generators(4, n, gens)]
+        assert len(cycles) == GL_DIMS.get(n, 0), n
+        for mask in range(1, 1 << len(cycles)):
+            total = lam.add(*(z for k, z in enumerate(cycles) if mask >> k & 1))
+            assert not lam.classes_equal(total, lam.ZERO)[0], (n, mask)
