@@ -3,11 +3,14 @@
 Generators act by linear substitution on representatives and reduce back to
 basis coordinates; invariants are the simultaneous kernel of the matrices
 M_g + I (fixed points of the generators are fixed points of the group).  The
-invariants of the Kameko kernel are one kernel too: the Kameko map's rows
-stacked with those of every M_g + I.
+invariants of the Kameko kernel, Ker^G = Ker ∩ Q^G, are the kernel of the
+Kameko map's rows restricted to the span of the invariants.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
 
 from . import hit, linalg, poly
 
@@ -63,14 +66,17 @@ def invariant_subspace(space, gens) -> list:
     return linalg.kernel_basis(rows, dim)
 
 
-def kernel_invariants(space, gens) -> list:
-    """Invariants of the Kameko kernel inside space = Q^q_n (admissible
-    coordinates): Ker^G is the intersection of Ker and Q^G, so the common
-    kernel of the Kameko rows and every M_g + I."""
-    rows = hit._kameko_rows(space)
-    for g in gens:
-        rows.extend(_fixed_point_rows(action_matrix(g, space), space.dim))
-    return linalg.kernel_basis(rows, space.dim)
+def kernel_invariants(space, invariants) -> list:
+    """Invariants of the Kameko kernel inside space = Q^q_n, given a basis of
+    the invariants Q^G (space coordinates): Ker^G = Ker ∩ Q^G.  Kameko row r
+    restricts to bit k = parity(r & invariants[k]); each kernel vector over
+    the invariants is mapped back to space coordinates."""
+    invariants = list(invariants)
+    rows = [linalg.from_support(k for k, u in enumerate(invariants)
+                                if (r & u).bit_count() & 1)
+            for r in hit._kameko_rows(space)]
+    return [reduce(xor, (invariants[k] for k in linalg.support(c)), 0)
+            for c in linalg.kernel_basis(rows, len(invariants))]
 
 
 __all__ = [

@@ -130,6 +130,8 @@ def _sweep(opts, degs: tuple, job, arg=None, **head) -> None:
     """Run job(q, n, arg) for each degree, in order, and print the report."""
     q = opts.q
     cores = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        cores = min(cores, len(os.sched_getaffinity(0)))
     workers = min(opts.jobs or cores, cores, len(degs))
     if workers > 1:
         # imported here: one worker, the common case, skips its start-up cost
@@ -224,17 +226,23 @@ def _suite_paper_dims():
 
 
 def _suite_paper_invariants():
+    # one quotient at a time: each degree's invariants are computed once, and
+    # the Kameko verdicts wait for the GL lines, which print first
     from . import action
-    gl_dims = {9: 1, 10: 0, 17: 1, 21: 0, 22: 1, 37: 0, 45: 1, 46: 0}
-    bases = {n: hit.quotient_basis(4, n) for n in gl_dims}
-    sig = len(action.invariant_subspace(bases[9], action.sigma_generators(4)))
-    yield "dim (Q^4_9)^sigma = 4", sig == 4
-    for n, want in gl_dims.items():
-        got = len(action.invariant_subspace(bases[n], action.gl_generators(4)))
-        yield f"dim (Q^4_{n})^gl = {want}", got == want
-    for n in (10, 22, 46):
-        got = len(action.kernel_invariants(bases[n], action.gl_generators(4)))
-        yield f"(Ker Sq^0)^gl = 0 at n = {n}", got == 0
+    gl, kameko = action.gl_generators(4), []
+    for n, want in ((9, 1), (10, 0), (17, 1), (21, 0), (22, 1), (37, 0),
+                    (45, 1), (46, 0)):
+        qb = hit.quotient_basis(4, n)
+        if n == 9:
+            sig = len(action.invariant_subspace(qb, action.sigma_generators(4)))
+            yield "dim (Q^4_9)^sigma = 4", sig == 4
+        inv = action.invariant_subspace(qb, gl)
+        yield f"dim (Q^4_{n})^gl = {want}", len(inv) == want
+        if n in (10, 22, 46):
+            got = len(action.kernel_invariants(qb, inv))
+            kameko.append((f"(Ker Sq^0)^gl = 0 at n = {n}", got == 0))
+        del qb  # before the next degree is fetched
+    yield from kameko
 
 
 def _suite_paper_transfer():

@@ -233,8 +233,10 @@ class QuotientBasis:
                  pivots: list, rows=None, omega=None, table=None):
         self.q, self.n, self.low, self.omega = q, n, low, omega
         self.monomials, self.coords, self.pivots = monomials, coords, pivots
-        stored = set(pivots)
-        self.admissible = tuple(monomials[c] for c in coords if c not in stored)
+        # the gaps between consecutive pivots, which lie inside coords
+        self.admissible = tuple(chain.from_iterable(
+            monomials[a + 1:b] for a, b in zip(chain((coords.start - 1,), pivots),
+                                               chain(pivots, (coords.stop,)))))
         self._rows, self._table = rows, table
 
     @property

@@ -101,7 +101,7 @@ def test_kernel_invariants_is_the_exact_intersection():
         gens = action.gl_generators(q)
         inv = action.invariant_subspace(qb, gens)
         kker = hit.kameko_kernel(q, n)
-        got = action.kernel_invariants(qb, gens)
+        got = action.kernel_invariants(qb, inv)
         inv_span = linalg.EchelonBasis(qb.dim)
         for v in inv:
             inv_span.insert(v)

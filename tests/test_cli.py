@@ -176,6 +176,21 @@ def test_jobs_is_capped_at_the_cores(tmp_path, monkeypatch):
     assert sizes == [2, 2]
 
 
+def test_jobs_0_counts_only_the_cores_of_the_affinity_set(monkeypatch):
+    # under taskset -c 0 os.cpu_count() still counts the machine's cores:
+    # one core allowed means one worker, so the sweep runs in process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started on one core")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    r = _run("basis", "--q", "2", "--degrees", "1,2,3,4,5", "--jobs", "0")
+    assert r.exit_code == 0 and len(r.output.splitlines()) == 5
+
+
 def test_long_job_guard():
     r = _run("basis", "--q", "4", "--n", "81")
     assert r.exit_code == 2 and "--allow-long" in r.output
@@ -308,6 +323,41 @@ def test_no_quotient_outlives_its_job(tmp_path, monkeypatch):
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_paper_invariants_holds_one_quotient_at_a_time(monkeypatch):
+    # the suite walks its degrees once: when it fetches a quotient, none of
+    # its own is alive, except the source of a Kameko map, which is alive
+    # while _kameko_rows fetches the map's target
+    from hitq import hit
+
+    refs, fetch, kameko_rows = [], hit.quotient_basis, hit._kameko_rows
+    source, held = [], []
+
+    def recording(q, n):
+        gc.collect()
+        alive = [key for key, ref in refs if ref() is not None]
+        if alive != source:
+            held.append(((q, n), alive))
+        qb = fetch(q, n)
+        refs.append(((q, n), weakref.ref(qb)))
+        return qb
+
+    def rows(src):
+        source.append((src.q, src.n))
+        try:
+            return kameko_rows(src)
+        finally:
+            source.clear()
+
+    monkeypatch.setattr(hit, "quotient_basis", recording)
+    monkeypatch.setattr(hit, "_kameko_rows", rows)
+    results = list(cli._suite_paper_invariants())
+    assert len(results) == 12 and all(ok for _, ok in results)
+    assert not held, held
+    assert [key for key, _ in refs] == [
+        (4, 9), (4, 10), (4, 3), (4, 17), (4, 21), (4, 22), (4, 9), (4, 37),
+        (4, 45), (4, 46), (4, 21)]
+
+
 def test_each_entry_point_asks_for_each_degree_once(monkeypatch):
     # with no memo to hide a second request, a function that works on a
     # quotient takes it or fetches it once and passes it on
@@ -320,12 +370,13 @@ def test_each_entry_point_asks_for_each_degree_once(monkeypatch):
         return fetch(q, n)
 
     monkeypatch.setattr(hit, "quotient_basis", counting)
-    qb22, gl = fetch(4, 22), action.gl_generators(4)
+    qb22 = fetch(4, 22)
+    inv22 = action.invariant_subspace(qb22, action.gl_generators(4))
     for fn, *args in ((hit.kameko_kernel, 4, 22),
                       (transfer.transfer_image_report, 4, 9),
                       (transfer.sq0_compat_check,
                        transfer.transfer_image_report(4, 9)),
-                      (action.kernel_invariants, qb22, gl),
+                      (action.kernel_invariants, qb22, inv22),
                       (cli._basis_job, 4, 21, True),
                       (cli._block_job, 4, 9, (3, 3)),
                       (cli._invariants_job, 4, 17, "gl"),
