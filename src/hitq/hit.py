@@ -49,9 +49,9 @@ rank, dim and the CRC-32 of the payload, every field checked on load), then
 the zlib-compressed payload, one line per stored echelon row by ascending
 pivot, its coordinates shifted down by low: the pivot's step up from the
 previous pivot (-1 before the first), then the steps down through the row
-(after pivot 7, the row [2, 5, 9] is ``2 4 3``).  The unit block is not
+(after pivot 7, the row [9, 5, 2] is ``2 4 3``).  The unit block is not
 written; the loader derives low from (q, n) and streams the rows into
-:func:`linalg.normal_forms` as coordinate lists, never as width-sized ints.
+:func:`linalg.normal_forms` as pivot-first lists, never as width-sized ints.
 A file that fails any check on load is a cache miss, and so is a file of an
 older layout: the basis is rebuilt and the file rewritten (a v3 file beside
 it is deleted; an unwritable cache costs the file, not the result).  The
@@ -212,8 +212,8 @@ def hit_subspace(q: int, n: int) -> QuotientBasis:
         basis.insert(v)
     by_pivot = basis.rows_by_pivot()
     del basis  # each int row is freed as its coordinate list is made
-    rows = [list(linalg.support(by_pivot.pop(p))) for p in sorted(by_pivot)]
-    return QuotientBasis(q, n, low, kept, range(len(kept)), [r[-1] for r in rows], rows)
+    rows = [linalg.support(by_pivot.pop(p)) for p in sorted(by_pivot)]
+    return QuotientBasis(q, n, low, kept, range(len(kept)), [r[0] for r in rows], rows)
 
 
 # --- quotient -----------------------------------------------------------------
@@ -225,8 +225,8 @@ class QuotientBasis:
     ``coords`` the space's, shifted down by low.  ``pivots`` lead its
     relations, ascending; the other coords c are admissible, at position
     c - coords.start - (pivots below c).  A fresh basis holds ``rows``, the
-    forward rows' coordinate lists by ascending pivot, until it builds
-    :attr:`table` from them.  ``omega`` is None for the whole quotient.
+    forward rows by ascending pivot, pivot-first coordinate lists, until it
+    builds :attr:`table` from them.  ``omega`` is None for the whole quotient.
     """
 
     def __init__(self, q: int, n: int, low: int, monomials: tuple, coords: range,
@@ -306,8 +306,7 @@ def _save_cached(qb: QuotientBasis) -> None:
     and delete the degree's v3 file, which no loader reads."""
     lines = []
     for row, top in zip(qb._rows, [-1, *qb.pivots]):  # top: the previous pivot
-        down = row[::-1]
-        lines.append(" ".join(map(str, (down[0] - top, *map(sub, down, down[1:])))))
+        lines.append(" ".join(map(str, (row[0] - top, *map(sub, row, row[1:])))))
     payload = zlib.compress("\n".join(lines).encode())
     meta = {"q": qb.q, "n": qb.n, "version": CACHE_VERSION,
             "width": qb.low + len(qb.coords), "low": qb.low,
@@ -320,12 +319,12 @@ def _save_cached(qb: QuotientBasis) -> None:
 
 
 def _decode_rows(text: bytes):
-    """The coordinate lists, ascending, of a payload's decompressed lines."""
+    """The coordinate lists, pivot first, of a payload's decompressed lines."""
     top = -1
     for line in text.splitlines():
         step, *down = map(int, line.split())
         top += step
-        yield list(accumulate(down, sub, initial=top))[::-1]
+        yield list(accumulate(down, sub, initial=top))
 
 
 def cached_quotient(q: int, n: int) -> QuotientBasis | None:

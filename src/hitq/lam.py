@@ -134,8 +134,8 @@ def admissible_basis(s: int, n: int) -> tuple:
             extend(prefix, rest - i)
             prefix.pop()
 
-    extend([], n)
-    return tuple(sorted(out))
+    extend([], n)  # ascending letters at each place: lexicographic order
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
 of a universe of size ``width``.  Addition is XOR.  ``EchelonBasis.insert``
 is the one elimination, its pivot the highest occupied bit, so the caller
 sets pivot priority by laying out coordinates.  :func:`normal_forms` builds
-every normal-form table from forward rows and is their one check, and
-:func:`transpose`, the one transposition, returns index lists.  Polynomials,
+every normal-form table from forward rows, pivot-first coordinate lists as
+:func:`support` gives them, and is their one check; :func:`transpose`, the
+one transposition, returns index lists.  Polynomials,
 dual elements and lambda-algebra elements are frozensets of terms;
 :func:`xor_terms` is their one GF(2) sum.
 """
@@ -13,7 +14,7 @@ dual elements and lambda-algebra elements are frozensets of terms;
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable
 
 
 def xor_terms(terms: Iterable[Hashable]) -> frozenset:
@@ -35,14 +36,14 @@ def from_support(coords: Iterable[int]) -> int:
     return v
 
 
-def support(v: int) -> Iterator[int]:
-    """Set coordinates of v, lowest first."""
+def support(v: int) -> list[int]:
+    """Set coordinates of v, highest first."""
     out = []
     while v:  # clearing the top bit shrinks v; ``v & -v`` is full width
         b = v.bit_length() - 1
         out.append(b)
         v ^= 1 << b
-    return reversed(out)
+    return out
 
 
 def transpose(vectors: Iterable[int], height: int) -> list:
@@ -60,20 +61,20 @@ def transpose(vectors: Iterable[int], height: int) -> list:
 
 def normal_forms(rows: Iterable[list], width: int) -> tuple:
     """(table, pivots) of forward rows, coordinate lists by ascending pivot:
-    a row's pivot p is its last coordinate, and table[p] = [e_p] XORs, over
+    a row's pivot p is its first coordinate, and table[p] = [e_p] XORs, over
     the row's other coordinates c, c's entry or, for a free c, its bit among
     the free coordinates.  ValueError unless each row is non-empty and
-    strictly ascends from 0 to its pivot, and the pivots strictly ascend
-    below width."""
+    strictly descends from its pivot to 0 or above, and the pivots strictly
+    ascend below width."""
     table, pivots, top = {}, [], -1
     for row in rows:
-        p = row[-1] if row else -1
+        p = row[0] if row else -1
         if not top < p < width:
             raise ValueError(f"row {row} has no pivot in ({top}, {width})")
-        v, prev = 0, -1
-        for c in row[:-1]:
-            if not prev < c < p:
-                raise ValueError(f"row {row} does not strictly ascend from 0")
+        v, prev = 0, p
+        for c in row[1:]:
+            if not prev > c >= 0:
+                raise ValueError(f"row {row} does not strictly descend to 0")
             prev = c
             r = table.get(c)
             v ^= r if r is not None else 1 << (c - bisect_left(pivots, c))
@@ -150,7 +151,7 @@ class EchelonBasis:
     def table(self) -> dict[int, int]:
         """Pivot p -> the free part of p's reduced row, bit k for the k-th free
         coordinate: :func:`normal_forms` of the stored rows."""
-        return normal_forms((list(support(self._rows[p])) for p in self.pivots()),
+        return normal_forms((support(self._rows[p]) for p in self.pivots()),
                             self.width)[0]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .linalg import rank, xor_terms
 
@@ -91,10 +91,9 @@ def sq(t: int, f: Polynomial) -> Polynomial:
 
 def weight_of(m: Monomial) -> WeightVector:
     """Weight vector: entry j counts exponents with bit j set (1-indexed)."""
-    if not m:
-        return ()
-    bits = max(m).bit_length()
-    w = [0] * bits
+    if min(m, default=0) < 0:
+        raise ValueError(f"monomial {m} has a negative exponent")
+    w = [0] * max(m, default=0).bit_length()  # the top entry is nonzero
     for a in m:
         j = 0
         while a:
@@ -102,8 +101,6 @@ def weight_of(m: Monomial) -> WeightVector:
                 w[j] += 1
             a >>= 1
             j += 1
-    while w and w[-1] == 0:
-        w.pop()
     return tuple(w)
 
 
@@ -199,31 +196,6 @@ def minimal_spike(q: int, n: int):
     return tuple(p - 1 for p in powers) + (0,) * (q - m)
 
 
-@lru_cache(maxsize=None)
-def _expand_power(targets: tuple, a: int) -> tuple:
-    """Expansion of (sum of variables in targets)^a over GF(2).
-
-    Each binary bit 2^b of a is given to one target variable; distinct
-    assignments yield distinct exponent vectors, so there is no cancellation.
-    Returns tuples of exponents aligned with `targets`.
-    """
-    r = len(targets)
-    if r == 1:
-        return ((a,),)
-    out = [(0,) * r]
-    b = 0
-    while (1 << b) <= a:
-        if (a >> b) & 1:
-            piece = 1 << b
-            out = [
-                t[:i] + (t[i] + piece,) + t[i + 1 :]
-                for t in out
-                for i in range(r)
-            ]
-        b += 1
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
 def _substitution_targets(g: tuple) -> tuple:
     """Per row i of g, the j with g[i][j] odd; ValueError unless g is
@@ -235,28 +207,31 @@ def _substitution_targets(g: tuple) -> tuple:
 
 
 def linear_substitute(g, f: Polynomial) -> Polynomial:
-    """Apply the algebra map x_i -> sum_j g[i][j] x_j to f (g invertible)."""
+    """Apply the algebra map x_i -> sum_j g[i][j] x_j to f (g invertible).
+
+    x_i^a goes whole to x_j when row i has the one odd entry j.  Otherwise
+    each binary bit 2^b of a goes to one of the row's targets, by Frobenius
+    (sum_j x_j)^a = prod_b (sum_j x_j^{2^b}).  Choices for different rows
+    can meet on one term, so the terms are summed mod 2 at the end.
+    """
     targets_of = _substitution_targets(tuple(map(tuple, g)))
     q = len(targets_of)
     out: list = []
     for mon in f:
-        if len(mon) != q:
-            raise ValueError(f"monomial {mon} does not have {q} exponents")
-        terms = [(0,) * q]
-        for i, a in enumerate(mon):
-            if a == 0:
-                continue
-            targets = targets_of[i]
-            expansion = _expand_power(targets, a)
-            new_terms = []
-            for base in terms:
-                for choice in expansion:
-                    t = list(base)
-                    for j, e in zip(targets, choice):
-                        t[j] += e
-                    new_terms.append(tuple(t))
-            terms = new_terms
-        out.extend(terms)
+        if len(mon) != q or min(mon, default=0) < 0:
+            raise ValueError(f"monomial {mon} is not {q} non-negative exponents")
+        whole, bits = [0] * q, []  # bits: per bit, its (target, 2^b) choices
+        for a, targets in zip(mon, targets_of):
+            if len(targets) == 1:
+                whole[targets[0]] += a
+            else:
+                bits += [[(j, 1 << b) for j in targets]
+                         for b in range(a.bit_length()) if a >> b & 1]
+        for choice in product(*bits):
+            t = whole.copy()
+            for j, piece in choice:
+                t[j] += piece
+            out.append(tuple(t))
     return xor_terms(out)
 
 

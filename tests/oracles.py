@@ -9,7 +9,8 @@ common kernel of the dual Sq^{2^i} functionals, the chain-level transfer psi
 by recursion on one divided monomial at a time, the least weight of a spike
 by trying every tuple, the lambda algebra's pair rewrite and differential
 straight from their binomial formulas, a text rendering of lambda elements,
-and a reader and writers of the cache file layouts.
+a linear substitution multiplied out one linear factor at a time, and a
+reader and writers of the cache file layouts.
 Nothing imports hitq.
 """
 
@@ -299,6 +300,26 @@ def primitive_basis(q: int, n: int) -> list:
             for v in kernel(rows, len(universe))]
 
 
+def substitute(g, f) -> set:
+    """The algebra map x_i -> sum_j g[i][j] x_j (entries mod 2) on a
+    set-of-monomials polynomial: each x_i^a is a product of a copies of its
+    linear form, multiplied out one factor at a time, with no Frobenius step."""
+    q = len(g)
+    out: set = set()
+    for m in f:
+        terms = {(0,) * q}
+        for row, a in zip(g, m):
+            targets = [j for j in range(q) if row[j] % 2]
+            for _ in range(a):
+                product: set = set()
+                for t in terms:
+                    for j in targets:
+                        product ^= {t[:j] + (t[j] + 1,) + t[j + 1:]}
+                terms = product
+        out ^= terms
+    return out
+
+
 def weight_vector(m: Mono) -> tuple:
     """Entry j counts the exponents of m with binary digit j set."""
     top = max(m, default=0).bit_length()
@@ -408,6 +429,7 @@ __all__ = [
     "rank2",
     "read_cache_v4",
     "rref",
+    "substitute",
     "unvectorize",
     "vectorize",
     "weight_block_dimension",

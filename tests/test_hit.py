@@ -108,7 +108,7 @@ def test_cache_files_written_in_the_naive_order_still_load(tmp_path, monkeypatch
         rows = [list(linalg.support(r)) for _, r in sorted(eb.rows_by_pivot().items())]
         hit._save_cached(hit.QuotientBasis(
             q, n, low, hit.kept_monomials(q, n, low), range(width - low),
-            [r[-1] for r in rows], rows))
+            [r[0] for r in rows], rows))
         old = hit._cache_path(q, n).read_bytes()
         fresh = hit.hit_subspace(q, n)
         hit._save_cached(fresh)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,15 +19,15 @@ vector_lists = st.lists(vectors, max_size=20)
 
 def test_support_round_trip():
     assert linalg.from_support([0, 3, 5]) == 0b101001
-    assert list(linalg.support(0b101001)) == [0, 3, 5]
-    assert list(linalg.support(0)) == []
+    assert linalg.support(0b101001) == [5, 3, 0]
+    assert linalg.support(0) == []
     # wide and sparse, as cache rows and reduced vectors are
-    coords = [0, 7, 49_998, 49_999, 50_000, 50_123]
-    assert list(linalg.support(linalg.from_support(coords))) == coords
+    coords = [50_123, 50_000, 49_999, 49_998, 7, 0]
+    assert linalg.support(linalg.from_support(coords)) == coords
     rng = random.Random(5)
     for _ in range(50):
-        coords = sorted(rng.sample(range(50_200), rng.randint(1, 6)))
-        assert list(linalg.support(linalg.from_support(coords))) == coords
+        coords = sorted(rng.sample(range(50_200), rng.randint(1, 6)), reverse=True)
+        assert linalg.support(linalg.from_support(coords)) == coords
     # kernel_basis transposes its table through support; the kernel
     # holds width - rank vectors, so the width stays moderate here
     width = 4_000
@@ -194,6 +195,23 @@ def test_intersection_with_coordinate_subspace(gens, allowed):
         if v and v & ~allowed == 0:
             expected.add(v)
     assert len(got) == oracles.rank2(got) == oracles.rank2(sorted(expected))
+
+
+def test_normal_forms_takes_pivot_first_rows():
+    # coordinate 1 is the one free coordinate: [e_3] = e_1 is its bit 0
+    assert linalg.normal_forms([[0], [2, 0], [3, 1, 0]], 4) == (
+        {0: 0, 2: 0, 3: 1}, [0, 2, 3])
+    assert linalg.normal_forms(
+        (linalg.support(r) for r in (0b1, 0b101, 0b1011)), 4) == (
+        {0: 0, 2: 0, 3: 1}, [0, 2, 3])
+    for rows in ([[1, 3]],  # the pivot last
+                 [[3, 1, 1]],  # a repeated coordinate
+                 [[3, -1]],  # a negative coordinate
+                 [[3], [2, 0]],  # descending pivots
+                 [[4, 1]],  # a pivot at width
+                 [[]]):  # no pivot at all
+        with pytest.raises(ValueError, match="^row "):
+            linalg.normal_forms(rows, 4)
 
 
 def test_insert_rejects_overwide_vectors():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,21 @@ def test_substitution_commutes_with_sq(m, t, g):
         g, poly.sq(t, f))
 
 
+def test_substitution_matches_repeated_multiplication():
+    # random invertible g, entries read mod 2, and up to three monomials, so
+    # that terms of different monomials can cancel; exponents stay <= 7, as
+    # the oracle's product sets grow fast with q and the exponents
+    rng = random.Random(27)
+    for _ in range(200):
+        q = rng.randint(1, 4)
+        g = [[rng.randint(0, 3) for _ in range(q)] for _ in range(q)]
+        if not _invertible([[x % 2 for x in row] for row in g]):
+            continue
+        f = poly.poly(tuple(rng.randint(0, 7) for _ in range(q))
+                      for _ in range(rng.randint(1, 3)))
+        assert poly.linear_substitute(g, f) == oracles.substitute(g, f), (g, f)
+
+
 def test_substitution_rejects_singular_matrix():
     try:
         poly.linear_substitute([[1, 1], [1, 1]], poly.poly([(1, 0)]))
@@ -182,6 +198,8 @@ def test_bad_arguments_raise_value_error():
         lambda: poly.monomials(3, -1),
         lambda: poly.monomials(0, 2),
         lambda: poly.sq(-1, poly.poly([(1, 2, 3)])),
+        lambda: poly.weight_of((-1, 2)),
+        lambda: poly.linear_substitute([[1, 1], [0, 1]], {(-2, 1)}),
     ]
     for call in bad_calls:
         with pytest.raises(ValueError):
