@@ -10,6 +10,11 @@ and the differential is d(lambda_m) = sum_{j>=1} binom2(m-j, j)
 lambda_{m-j} lambda_{j-1}, extended as a derivation over concatenation.
 Both read their terms from the rows n - 1 and m of :func:`poly.cartan_splits`.
 
+Homology is read from one elimination per bidegree, held for the last
+bidegree asked for: Lambda^{s,n} modulo the boundaries d(Lambda^{s-1,n+1})
+and the catalog of named cycles.  `catalog`, `identify_class` and
+`classes_equal` all read it.
+
 Literature sources that print words with the mirrored admissibility
 convention (i_k <= 2*i_{k+1}) are transcribed here by reversing each word;
 `from_display`/`to_display` perform that reversal at the JSON boundary.
@@ -21,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
-from .linalg import EchelonBasis, solve_combination, xor_terms
+from .linalg import EchelonBasis, from_support, xor_terms
 from .poly import cartan_splits
 
 Word = tuple  # tuple[int, ...]
@@ -110,45 +115,17 @@ def theta(e: Iterable[Word]) -> Element:
     return _normal_form([tuple(2 * i + 1 for i in w) for w in _words(e)])
 
 
-@lru_cache(maxsize=None)
 def admissible_basis(s: int, n: int) -> tuple:
     """All admissible words of length s and degree n, lexicographically sorted."""
     if s < 0 or n < 0:
         raise ValueError(f"length {s} and degree {n} must be non-negative")
-    if s == 0:
-        return ((),) if n == 0 else ()
-    out = []
-
-    def extend(prefix: list, rest: int):
-        slots = s - len(prefix)
-        if slots == 0:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        cap = rest if not prefix else min(rest, 2 * prefix[-1])
-        for i in range(cap + 1):
-            # the tail after letter i can carry at most i*(2^slots - 2) more
-            if rest - i > i * ((1 << slots) - 2):
-                continue
-            prefix.append(i)
-            extend(prefix, rest - i)
-            prefix.pop()
-
-    extend([], n)  # ascending letters at each place: lexicographic order
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _index_map(s: int, n: int) -> dict:
-    return {w: k for k, w in enumerate(admissible_basis(s, n))}
-
-
-def _vectorize(e: Element, s: int, n: int) -> int:
-    idx = _index_map(s, n)
-    v = 0
-    for w in e:
-        v ^= 1 << idx[w]
-    return v
+    words = [((), n)]  # (prefix, degree left), extended one place at a time
+    for slots in range(s, 0, -1):
+        # after letter i the other slots - 1 letters carry at most i*(2^slots - 2)
+        words = [(w + (i,), rest - i) for w, rest in words
+                 for i in range((min(rest, 2 * w[-1]) if w else rest) + 1)
+                 if rest - i <= i * ((1 << slots) - 2)]
+    return tuple(w for w, rest in words if not rest)
 
 
 def _bidegree(e: Element) -> tuple:
@@ -157,40 +134,6 @@ def _bidegree(e: Element) -> tuple:
     if len(pairs) != 1:
         raise ValueError("element is not homogeneous in (length, degree)")
     return pairs.pop()
-
-
-@lru_cache(maxsize=None)
-def _boundaries(s: int, n: int) -> tuple:
-    """(vector, source word) pairs spanning d(Lambda^{s-1, n+1}) inside (s, n)."""
-    if s == 0:
-        return ()
-    out = []
-    for w in admissible_basis(s - 1, n + 1):
-        v = _vectorize(differential([w]), s, n)
-        if v:
-            out.append((v, w))
-    return tuple(out)
-
-
-def classes_equal(z1: Iterable[Word], z2: Iterable[Word]):
-    """Homology-class equality for two cycles; witness chain when equal.
-
-    Returns (True, w) with differential(w) = normalize(z1 + z2) (w = 0 when the
-    cycles agree on the nose), or (False, None).
-    """
-    z1, z2 = element(z1), element(z2)
-    for z in (z1, z2):
-        if z and differential(z):
-            raise ValueError("classes_equal requires cycle inputs")
-    u = normalize(add(z1, z2))
-    if not u:
-        return True, ZERO
-    s, n = _bidegree(u)
-    bnd = _boundaries(s, n)
-    sol = solve_combination([v for v, _ in bnd], _vectorize(u, s, n))
-    if sol is None:
-        return False, None
-    return True, element(w for k, (_, w) in enumerate(bnd) if (sol >> k) & 1)
 
 
 # --- catalog of Ext representatives ---------------------------------------
@@ -222,7 +165,62 @@ def _h_name(letters: Word) -> str:
     return "".join(parts)
 
 
-@lru_cache(maxsize=None)
+def _candidates(s: int, n: int) -> list:
+    """(name, element) catalog candidates at (s, n), in catalog order."""
+    out = [(_h_name(letters), frozenset({letters})) for letters in _h_multisets(s, n)]
+    specials = [(f"{family}_{t}", _theta_pow(elem, t))
+                for family, elem in (("c", frozenset({_C0})), ("e", _E0))
+                for t in range(n.bit_length())]
+    for name, elem in specials:
+        length, d = _bidegree(elem)
+        if s - length < 0 or d > n:
+            continue
+        for letters in _h_multisets(s - length, n - d):
+            if letters:
+                out.append((_h_name(letters) + name, multiply(elem, [letters])))
+            else:
+                out.append((name, elem))
+    return out
+
+
+@lru_cache(maxsize=1)
+def _homology(s: int, n: int) -> tuple:
+    """The one elimination of Lambda^{s,n} modulo its boundaries.
+
+    Returns (index, echelon, sources, entries).  index maps the admissible
+    words of (s, n) to bits.  Target k enters the echelon as ``v << size |
+    1 << k``, as in :func:`linalg.solve_combination`: first d(w) for the k-th
+    admissible source word w of (s - 1, n + 1), then the normalized catalog
+    candidates.  A candidate whose remainder keeps a bit at size or above is
+    independent of the boundaries and the earlier candidates; entries maps its
+    tag k to (name, cycle).  The independent targets are a basis, so a vector
+    ``u << size`` reduces to its unique mask over them.  One entry is held:
+    the callers ask for one bidegree back to back.
+    """
+    index = {w: k for k, w in enumerate(admissible_basis(s, n))}
+    sources = admissible_basis(s - 1, n + 1) if s else ()
+    candidates = _candidates(s, n)
+    size = len(sources) + len(candidates)
+    echelon = EchelonBasis(len(index) + size)
+    for k, w in enumerate(sources):
+        echelon.insert(from_support(map(index.get, differential([w]))) << size | 1 << k)
+    entries = {}
+    for k, (name, elem) in enumerate(candidates, len(sources)):
+        z = normalize(elem)
+        if echelon.insert(from_support(map(index.get, z)) << size | 1 << k)[1] >> size:
+            entries[k] = (name, z)
+    return index, echelon, sources, entries
+
+
+def _class_mask(z: Element) -> tuple:
+    """(mask of z over the independent targets or None outside their span,
+    sources, entries) for a nonzero normalized homogeneous z."""
+    index, echelon, sources, entries = _homology(*_bidegree(z))
+    size = echelon.width - len(index)
+    c = echelon.reduce(from_support(map(index.get, z)) << size)
+    return (None if c >> size else c), sources, entries
+
+
 def catalog(s: int, n: int) -> tuple:
     """Named cycle representatives at (length, degree), independent mod boundaries.
 
@@ -230,31 +228,7 @@ def catalog(s: int, n: int) -> tuple:
     that are boundaries or dependent on earlier entries are dropped, so the
     coefficients returned by identify_class are unambiguous.
     """
-    candidates: list = []
-    for letters in _h_multisets(s, n):
-        candidates.append((_h_name(letters), frozenset({letters})))
-    specials = [(f"c_{t}", _theta_pow(frozenset({_C0}), t))
-                for t in range(n.bit_length()) if 11 * (1 << t) - 3 <= n]
-    specials += [(f"e_{t}", _theta_pow(_E0, t))
-                 for t in range(n.bit_length()) if 21 * (1 << t) - 4 <= n]
-    for name, elem in specials:
-        length, d = _bidegree(elem)
-        if s - length < 0 or d > n:
-            continue
-        for letters in _h_multisets(s - length, n - d):
-            if letters:
-                candidates.append((_h_name(letters) + name, multiply(elem, [letters])))
-            else:
-                candidates.append((name, elem))
-    span = EchelonBasis(len(admissible_basis(s, n)))
-    for v, _ in _boundaries(s, n):
-        span.insert(v)
-    out = []
-    for name, elem in candidates:
-        z = normalize(elem)
-        if z and span.insert(_vectorize(z, s, n))[0]:
-            out.append((name, z))
-    return tuple(out)
+    return tuple(_homology(s, n)[3].values())
 
 
 def identify_class(z: Iterable[Word]):
@@ -262,18 +236,36 @@ def identify_class(z: Iterable[Word]):
 
     Returns the tuple of contributing names (empty for a boundary), or the
     string "unidentified" when the cycle lies outside the catalog span.
+    ValueError when z is not a cycle.
     """
     z = normalize(element(z))
     if not z:
         return ()
-    s, n = _bidegree(z)
-    entries = catalog(s, n)
-    bnd = [v for v, _ in _boundaries(s, n)]
-    targets = [_vectorize(el, s, n) for _, el in entries] + bnd
-    sol = solve_combination(targets, _vectorize(z, s, n))
-    if sol is None:
+    if differential(z):
+        raise ValueError("identify_class requires a cycle")
+    c, _, entries = _class_mask(z)
+    if c is None:
         return "unidentified"
-    return tuple(nm for k, (nm, _) in enumerate(entries) if (sol >> k) & 1)
+    return tuple(nm for k, (nm, _) in entries.items() if c >> k & 1)
+
+
+def classes_equal(z1: Iterable[Word], z2: Iterable[Word]):
+    """Homology-class equality for two cycles; witness chain when equal.
+
+    Returns (True, w) with differential(w) = normalize(z1 + z2) (w = 0 when the
+    cycles agree on the nose), or (False, None).
+    """
+    z1, z2 = element(z1), element(z2)
+    for z in (z1, z2):
+        if z and differential(z):
+            raise ValueError("classes_equal requires cycle inputs")
+    u = normalize(add(z1, z2))
+    if not u:
+        return True, ZERO
+    c, sources, _ = _class_mask(u)
+    if c is None or c >> len(sources):  # outside the span, or a catalog tag
+        return False, None
+    return True, element(w for k, w in enumerate(sources) if c >> k & 1)
 
 
 # --- display-order transcription -------------------------------------------

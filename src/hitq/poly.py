@@ -55,9 +55,17 @@ def cartan_splits(j: int) -> tuple:
     return tuple((t, j - t) for t in range(j // 2 + 1) if binom2(j - t, t))
 
 
+def _checked(m: Monomial) -> Monomial:
+    """m as a tuple; ValueError on a negative exponent."""
+    m = tuple(m)
+    if min(m, default=0) < 0:
+        raise ValueError(f"monomial {m} has a negative exponent")
+    return m
+
+
 def poly(terms: Iterable[Monomial]) -> Polynomial:
     """Polynomial from terms with GF(2) cancellation of duplicates."""
-    return xor_terms(map(tuple, terms))
+    return xor_terms(map(_checked, terms))
 
 
 def add(*fs: Polynomial) -> Polynomial:
@@ -85,14 +93,13 @@ def sq(t: int, f: Polynomial) -> Polynomial:
     if t < 0:
         raise ValueError(f"Sq^{t}: t must be non-negative")
     if t == 0:
-        return frozenset(f)
-    return xor_terms(r for m in f for r in sq_monomial(t, m))
+        return poly(f)
+    return xor_terms(r for m in map(_checked, f) for r in sq_monomial(t, m))
 
 
 def weight_of(m: Monomial) -> WeightVector:
     """Weight vector: entry j counts exponents with bit j set (1-indexed)."""
-    if min(m, default=0) < 0:
-        raise ValueError(f"monomial {m} has a negative exponent")
+    m = _checked(m)
     w = [0] * max(m, default=0).bit_length()  # the top entry is nonzero
     for a in m:
         j = 0
@@ -237,7 +244,7 @@ def linear_substitute(g, f: Polynomial) -> Polynomial:
 
 def kameko_down(m: Monomial):
     """Exponentwise 2a + 1 -> a on all-odd monomials, None otherwise."""
-    if any(a % 2 == 0 for a in m):
+    if any(a % 2 == 0 for a in _checked(m)):
         return None
     return tuple((a - 1) // 2 for a in m)
 

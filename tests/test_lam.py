@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hitq import lam
+from hitq import lam, linalg
 
 words = st.lists(st.integers(min_value=0, max_value=12), min_size=0,
                  max_size=4).map(tuple)
@@ -187,6 +188,83 @@ def test_identify_class_on_boundaries_and_sums():
     # a cycle plus a boundary identifies the same way
     c = dict(lam.catalog(4, 17))["e_0"]
     assert lam.identify_class(lam.add(c, z)) == ("e_0",)
+
+
+def test_identify_class_rejects_non_cycles():
+    # it answered "unidentified", a claim about a cycle, for d(lambda_2) != 0
+    with pytest.raises(ValueError, match="cycle"):
+        lam.identify_class([(2,)])
+
+
+def test_catalog_rejects_negative_arguments():
+    # catalog(-1, 3) failed inside itertools with "r must be non-negative"
+    with pytest.raises(ValueError, match="length -1 and degree 3"):
+        lam.catalog(-1, 3)
+
+
+def _solve_route(s, n):
+    """The catalog, identify_class and classes_equal at (s, n) as separate
+    eliminations through linalg.solve_combination."""
+    index = {w: k for k, w in enumerate(lam.admissible_basis(s, n))}
+
+    def vec(e):
+        return linalg.from_support(index[w] for w in e)
+
+    bnd = [(vec(lam.differential([w])), w)
+           for w in lam.admissible_basis(s - 1, n + 1)]
+    bnd = [(v, w) for v, w in bnd if v]
+    span = linalg.EchelonBasis(len(index))
+    for v, _ in bnd:
+        span.insert(v)
+    entries = []
+    for name, elem in lam._candidates(s, n):
+        z = lam.normalize(elem)
+        if z and span.insert(vec(z))[0]:
+            entries.append((name, z))
+
+    def identify(z):
+        sol = linalg.solve_combination(
+            [vec(el) for _, el in entries] + [v for v, _ in bnd], vec(z))
+        if sol is None:
+            return "unidentified"
+        return tuple(nm for k, (nm, _) in enumerate(entries) if sol >> k & 1)
+
+    def equal(z1, z2):
+        u = lam.normalize(lam.add(z1, z2))
+        sol = linalg.solve_combination([v for v, _ in bnd], vec(u)) if u else 0
+        if sol is None:
+            return False, None
+        return True, lam.element(w for k, (_, w) in enumerate(bnd) if sol >> k & 1)
+
+    return tuple(entries), identify, equal
+
+
+def _cycles(s, n):
+    """A basis of the cycles of (s, n): the kernel of d out of it."""
+    basis = lam.admissible_basis(s, n)
+    target = {w: k for k, w in enumerate(lam.admissible_basis(s + 1, n - 1))}
+    cols = [linalg.from_support(target[w] for w in lam.differential([u]))
+            for u in basis]
+    rows = [linalg.from_support(r) for r in linalg.transpose(cols, len(target))]
+    return [lam.element(basis[k] for k in linalg.support(v))
+            for v in linalg.kernel_basis(rows, len(basis))]
+
+
+@pytest.mark.parametrize("s, n", [(2, 6), (3, 9), (3, 14), (4, 9), (4, 17),
+                                  (4, 22), (4, 33)])
+def test_one_elimination_matches_the_solve_route(s, n):
+    entries, identify, equal = _solve_route(s, n)
+    assert lam.catalog(s, n) == entries
+    rng = random.Random(s * 100 + n)
+    sources, cycles = lam.admissible_basis(s - 1, n + 1), _cycles(s, n)
+    for _ in range(25):
+        bound = lam.differential(rng.sample(sources, min(3, len(sources))))
+        picked = [el for _, el in entries if rng.random() < 0.5]
+        # at (4, 33) some cycles lie outside the catalog span
+        z = lam.add(bound, *picked, *(c for c in cycles if rng.random() < 0.1))
+        assert lam.identify_class(z) == identify(z), (s, n)
+        for other in (lam.ZERO, *(el for _, el in entries[:2])):
+            assert lam.classes_equal(z, other) == equal(z, other), (s, n)
 
 
 def test_display_round_trip_and_formatting():

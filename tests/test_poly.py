@@ -200,6 +200,12 @@ def test_bad_arguments_raise_value_error():
         lambda: poly.sq(-1, poly.poly([(1, 2, 3)])),
         lambda: poly.weight_of((-1, 2)),
         lambda: poly.linear_substitute([[1, 1], [0, 1]], {(-2, 1)}),
+        # negative exponents: sq gave frozenset() for t > 0 and the bad term
+        # back for t = 0; poly and kameko_down accepted them
+        *(lambda t=t: poly.sq(t, {(-1, 2)}) for t in range(4)),
+        lambda: poly.sq(2, {(-3, 4)}),
+        lambda: poly.poly([(-2, 1)]),
+        lambda: poly.kameko_down((-1, 3)),
     ]
     for call in bad_calls:
         with pytest.raises(ValueError):

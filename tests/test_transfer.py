@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fixtures
 import oracles
-from hitq import action, dual, lam, transfer
+from hitq import action, dual, hit, lam, transfer
 
 
 def test_psi_component_expansions():
@@ -161,3 +165,28 @@ def test_singer_transfer_is_injective_in_rank_4():
         for mask in range(1, 1 << len(cycles)):
             total = lam.add(*(z for k, z in enumerate(cycles) if mask >> k & 1))
             assert not lam.classes_equal(total, lam.ZERO)[0], (n, mask)
+
+
+_HELD = """
+import gc, tracemalloc
+from hitq import transfer
+tracemalloc.start()
+gc.collect()  # a full collection empties the free lists, which count as held
+start = tracemalloc.get_traced_memory()[0]
+for n in (33, 38, 45, 46, 9):
+    transfer.transfer_image_report(4, n)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] - start)
+"""
+
+
+def test_reports_hold_no_earlier_degree():
+    # a fresh interpreter, so no other test's memo counts; the bases are
+    # cached first, so it loads them rather than eliminating under tracing
+    for n in (33, 38, 45, 46, 9):
+        hit.quotient_basis(4, n)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _HELD], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True)
+    assert int(out.stdout) < 0.5 * 2**20
