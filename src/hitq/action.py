@@ -1,10 +1,11 @@
 """Symmetric-group and GL(q) actions on the quotients, and their invariants.
 
 Generators act by linear substitution on representatives and reduce back to
-basis coordinates; invariants are the simultaneous kernel of the matrices
-M_g + I (fixed points of the generators are fixed points of the group).  The
-invariants of the Kameko kernel, Ker^G = Ker ∩ Q^G, are the kernel of the
-Kameko map's rows restricted to the span of the invariants.
+basis coordinates.  Every invariant subspace is a kernel taken inside the one
+before: the fixed points of the group are those of its generators, so they
+are the kernel of M_g + I inside the fixed points of the generators before
+g, and the invariants of the Kameko kernel, Ker^G = Ker ∩ Q^G, are the
+kernel of the Kameko map inside Q^G.
 """
 
 from __future__ import annotations
@@ -53,30 +54,30 @@ def action_matrix(g, space) -> list:
     return cols
 
 
-def _fixed_point_rows(cols: list, dim: int) -> list:
-    """Nonzero rows of M + I from the columns of M."""
-    rows = linalg.transpose((col ^ 1 << c for c, col in enumerate(cols)), dim)
-    return [linalg.from_support(r) for r in rows if r]
+def _kernel_within(images: list, basis: list) -> list:
+    """The rref kernel of the map with columns images restricted to the span
+    of basis, mapped back: the canonical basis of the kernel inside that span
+    when basis is itself canonical (one free coordinate per vector)."""
+    restricted = [reduce(xor, map(images.__getitem__, linalg.support(u)), 0)
+                  for u in basis]
+    return [reduce(xor, map(basis.__getitem__, linalg.support(c)), 0)
+            for c in linalg.kernel_basis(restricted)]
 
 
 def invariant_subspace(space, gens) -> list:
     """Basis vectors (space coordinates) of the common fixed points of gens."""
-    dim = space.dim
-    rows = [r for g in gens for r in _fixed_point_rows(action_matrix(g, space), dim)]
-    return linalg.kernel_basis(rows, dim)
+    basis = [1 << c for c in range(space.dim)]
+    for g in gens:
+        images = [col ^ 1 << c for c, col in enumerate(action_matrix(g, space))]
+        basis = _kernel_within(images, basis)
+    return basis
 
 
 def kernel_invariants(space, invariants) -> list:
     """Invariants of the Kameko kernel inside space = Q^q_n, given a basis of
-    the invariants Q^G (space coordinates): Ker^G = Ker ∩ Q^G.  Kameko row r
-    restricts to bit k = parity(r & invariants[k]); each kernel vector over
-    the invariants is mapped back to space coordinates."""
-    invariants = list(invariants)
-    rows = [linalg.from_support(k for k, u in enumerate(invariants)
-                                if (r & u).bit_count() & 1)
-            for r in hit._kameko_rows(space)]
-    return [reduce(xor, (invariants[k] for k in linalg.support(c)), 0)
-            for c in linalg.kernel_basis(rows, len(invariants))]
+    the invariants Q^G (space coordinates): Ker^G = Ker ∩ Q^G, the Kameko
+    map's kernel inside their span."""
+    return _kernel_within(hit._kameko_images(space), list(invariants))
 
 
 __all__ = [

@@ -399,20 +399,19 @@ def _kameko_degree(q: int, n: int) -> int:
     return (n - q) // 2
 
 
-def _kameko_rows(src: QuotientBasis) -> list:
-    """The nonzero rows of the Kameko down map src = Q^q_n -> Q^q_{(n-q)/2},
-    x_i^{2a_i+1} -> x_i^{a_i}, over the admissible basis of Q^q_n."""
+def _kameko_images(src: QuotientBasis) -> list:
+    """The columns of the Kameko down map src = Q^q_n -> Q^q_{(n-q)/2},
+    x_i^{2a_i+1} -> x_i^{a_i}, one per admissible monomial of Q^q_n."""
     tgt = quotient_basis(src.q, _kameko_degree(src.q, src.n))
     images = (poly.kameko_down(m) for m in src.admissible)
-    cols = [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
-    return [linalg.from_support(r) for r in linalg.transpose(cols, tgt.dim) if r]
+    return [0 if d is None else tgt.reduce_vec(frozenset({d})) for d in images]
 
 
 def kameko_kernel(q: int, n: int) -> list:
     """Basis of Ker(Q^q_n -> Q^q_{(n-q)/2}), as admissible coordinate vectors."""
     _kameko_degree(q, n)  # so that a bad degree fetches no quotient
     src = quotient_basis(q, n)
-    return linalg.kernel_basis(_kameko_rows(src), src.dim)
+    return linalg.kernel_basis(_kameko_images(src))
 
 
 __all__ = [

@@ -3,12 +3,14 @@
 Vectors are plain Python ints used as bitsets: bit ``c`` is coordinate ``c``
 of a universe of size ``width``.  Addition is XOR.  ``EchelonBasis.insert``
 is the one elimination, its pivot the highest occupied bit, so the caller
-sets pivot priority by laying out coordinates.  :func:`normal_forms` builds
-every normal-form table from forward rows, pivot-first coordinate lists as
-:func:`support` gives them, and is their one check; :func:`transpose`, the
-one transposition, returns index lists.  Polynomials,
-dual elements and lambda-algebra elements are frozensets of terms;
-:func:`xor_terms` is their one GF(2) sum.
+sets pivot priority by laying out coordinates.  A linear map is its list of
+columns: :func:`kernel_basis` reads its kernel from them, tagging each column
+below its bits as :func:`solve_combination` tags its targets.
+:func:`normal_forms` builds every normal-form table from forward rows,
+pivot-first coordinate lists as :func:`support` gives them, and is their one
+check; :func:`transpose` returns index lists.  Polynomials, dual elements and
+lambda-algebra elements are frozensets of terms; :func:`xor_terms` is their
+one GF(2) sum.
 """
 
 from __future__ import annotations
@@ -86,9 +88,8 @@ def normal_forms(rows: Iterable[list], width: int) -> tuple:
 class EchelonBasis:
     """Streaming row-echelon basis of a GF(2) subspace.
 
-    Rows are kept in forward echelon form only (each row's pivot is its
-    highest set bit and pivots are distinct); the reduced form is the
-    normal-form table built on demand by :meth:`table`.
+    Rows are kept in forward echelon form only: each row's pivot is its
+    highest set bit and pivots are distinct.
     """
 
     def __init__(self, width: int):
@@ -98,10 +99,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def pivots(self) -> list[int]:
-        """Pivot coordinates, ascending."""
-        return sorted(self._rows)
 
     def insert(self, v: int) -> tuple[bool, int]:
         """Insert a vector; returns (inserted, remainder).
@@ -148,12 +145,6 @@ class EchelonBasis:
         """Stored forward-echelon rows keyed by pivot."""
         return dict(self._rows)
 
-    def table(self) -> dict[int, int]:
-        """Pivot p -> the free part of p's reduced row, bit k for the k-th free
-        coordinate: :func:`normal_forms` of the stored rows."""
-        return normal_forms((support(self._rows[p]) for p in self.pivots()),
-                            self.width)[0]
-
 
 def rank(rows: Iterable[int], width: int) -> int:
     """Rank of a collection of bit-vector rows."""
@@ -163,20 +154,26 @@ def rank(rows: Iterable[int], width: int) -> int:
     return eb.rank
 
 
-def kernel_basis(rows: Iterable[int], width: int) -> list[int]:
-    """Basis of {x : every row r has parity(r & x) = 0}.
+def kernel_basis(columns: Iterable[int]) -> list[int]:
+    """Canonical (rref) basis of {x : the XOR of columns[c] over the set bits
+    c of x is 0}: per column f that the columns above it span, ascending, f
+    plus the independent columns above f that sum to it.
 
-    Rows are linear functionals on the width-coordinate space; the kernel has
-    dimension width - rank(rows).  Per free coordinate f, ascending: f plus
-    every pivot whose reduced row has f's bit, the table transposed.
+    Column c goes into one :class:`EchelonBasis`, the top column first, as
+    ``v << size | 1 << (size - 1 - c)``, the layout of
+    :func:`solve_combination` with the tags reversed.  So a spanned column
+    leaves a row whose pivot is its own tag, and its tags, read back, are its
+    kernel vector.
     """
-    eb = EchelonBasis(width)
-    for r in rows:
-        eb.insert(r)
-    table = eb.table()
-    pivots, free = list(table), [c for c in range(width) if c not in table]
-    return [(1 << f) | from_support(map(pivots.__getitem__, col))
-            for f, col in zip(free, transpose(table.values(), len(free)))]
+    columns = list(columns)
+    size = len(columns)
+    eb = EchelonBasis(max((v.bit_length() for v in columns), default=0) + size)
+    out = []
+    for c in reversed(range(size)):
+        row = eb.insert(columns[c] << size | 1 << (size - 1 - c))[1]
+        if not row >> size:
+            out.append(int(f"{row:0{size}b}"[::-1], 2))
+    return out[::-1]
 
 
 def solve_combination(targets: Iterable[int], rhs: int) -> int | None:

@@ -206,7 +206,10 @@ def minimal_spike(q: int, n: int):
 @lru_cache(maxsize=256)
 def _substitution_targets(g: tuple) -> tuple:
     """Per row i of g, the j with g[i][j] odd; ValueError unless g is
-    invertible over GF(2).  Cached, so a matrix is checked once."""
+    square and invertible over GF(2).  Cached, so a matrix is checked once."""
+    if any(len(row) != len(g) for row in g):
+        raise ValueError(f"substitution matrix of {len(g)} rows of lengths "
+                         f"{[len(row) for row in g]} is not square")
     rows = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in g]
     if rank(rows, len(g)) != len(g):
         raise ValueError("substitution matrix is singular")

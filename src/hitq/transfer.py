@@ -64,28 +64,26 @@ def transfer_class(e, q: int):
 class TransferReport:
     """Transfer image summary at one degree."""
 
-    def __init__(self, q: int, n: int, generators: tuple, image: tuple,
-                 unidentified: int):
+    def __init__(self, q: int, n: int, generators: tuple):
         self.q, self.n = q, n
         self.generators = generators  # (dual element, cycle, identification)
-        self.image = image  # names of identified classes, deterministic order
-        self.unidentified = unidentified  # generators outside the catalog span
+
+    @property
+    def image(self) -> tuple:
+        """Names of the identified classes, in order of first appearance."""
+        return tuple(dict.fromkeys(nm for _, _, ident in self.generators
+                                   if ident != "unidentified" for nm in ident))
+
+    @property
+    def unidentified(self) -> int:
+        """Generators outside the catalog span."""
+        return sum(ident == "unidentified" for _, _, ident in self.generators)
 
 
 def transfer_image_report(q: int, n: int) -> TransferReport:
-    """Map every coinvariant generator through the transfer and aggregate."""
-    gens = action.gl_generators(q)
-    triples = []
-    image = []
-    unidentified = 0
-    for e, _cert in dual.coinvariant_generators(q, n, gens):
-        z, ident = transfer_class(e, q)
-        triples.append((e, z, ident))
-        if ident == "unidentified":
-            unidentified += 1
-        else:
-            image.extend(nm for nm in ident if nm not in image)
-    return TransferReport(q, n, tuple(triples), tuple(image), unidentified)
+    """Map every coinvariant generator through the transfer."""
+    pairs = dual.coinvariant_generators(q, n, action.gl_generators(q))
+    return TransferReport(q, n, tuple((e, *transfer_class(e, q)) for e, _ in pairs))
 
 
 def sq0_compat_check(report: TransferReport) -> bool:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from hitq import action, hit, linalg, poly
@@ -116,6 +118,30 @@ def test_kernel_invariants_is_the_exact_intersection():
         assert oracles.rank2(list(got)) == len(got) == want_dim
         dims[q, n] = want_dim
     assert dims == {(3, 9): 0, (4, 10): 0, (4, 14): 1, (5, 15): 2}
+
+
+# column pairs (a, b) of a 4-bit map A and a 4-bit map B on one space
+column_pairs = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                        max_size=12)
+
+
+@given(column_pairs)
+def test_kernel_within_a_kernel_is_the_stacked_kernel(pairs):
+    # Ker B inside Ker A, from the canonical basis of Ker A, is the canonical
+    # basis of the kernel of A stacked over B, vector for vector
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    stacked = [x | y << 4 for x, y in pairs]
+    assert (action._kernel_within(b, linalg.kernel_basis(a))
+            == linalg.kernel_basis(stacked))
+
+
+def test_rank5_gl_invariant_dims_are_pinned():
+    # dim (Q^5_n)^GL for every n <= 24; at n = 0 the invariant is the constant
+    gens = action.gl_generators(5)
+    dims = {n: len(action.invariant_subspace(hit.quotient_basis(5, n), gens))
+            for n in range(25)}
+    nonzero = {0: 1, 14: 1, 15: 2, 17: 1, 18: 1, 20: 1, 21: 1, 24: 1}
+    assert dims == {n: nonzero.get(n, 0) for n in range(25)}
 
 
 def test_kameko_kernel_is_gl_stable():

@@ -326,10 +326,10 @@ def test_no_quotient_outlives_its_job(tmp_path, monkeypatch):
 def test_paper_invariants_holds_one_quotient_at_a_time(monkeypatch):
     # the suite walks its degrees once: when it fetches a quotient, none of
     # its own is alive, except the source of a Kameko map, which is alive
-    # while _kameko_rows fetches the map's target
+    # while _kameko_images fetches the map's target
     from hitq import hit
 
-    refs, fetch, kameko_rows = [], hit.quotient_basis, hit._kameko_rows
+    refs, fetch, kameko_images = [], hit.quotient_basis, hit._kameko_images
     source, held = [], []
 
     def recording(q, n):
@@ -341,15 +341,15 @@ def test_paper_invariants_holds_one_quotient_at_a_time(monkeypatch):
         refs.append(((q, n), weakref.ref(qb)))
         return qb
 
-    def rows(src):
+    def images(src):
         source.append((src.q, src.n))
         try:
-            return kameko_rows(src)
+            return kameko_images(src)
         finally:
             source.clear()
 
     monkeypatch.setattr(hit, "quotient_basis", recording)
-    monkeypatch.setattr(hit, "_kameko_rows", rows)
+    monkeypatch.setattr(hit, "_kameko_images", images)
     results = list(cli._suite_paper_invariants())
     assert len(results) == 12 and all(ok for _, ok in results)
     assert not held, held

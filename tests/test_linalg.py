@@ -28,8 +28,8 @@ def test_support_round_trip():
     for _ in range(50):
         coords = sorted(rng.sample(range(50_200), rng.randint(1, 6)), reverse=True)
         assert linalg.support(linalg.from_support(coords)) == coords
-    # kernel_basis transposes its table through support; the kernel
-    # holds width - rank vectors, so the width stays moderate here
+    # kernel_basis reads its wide tags back through their binary digits; the
+    # kernel holds width - rank vectors, so the width stays moderate here
     width = 4_000
     for _ in range(10):
         # rows touch few coordinates, half of them near the top
@@ -37,7 +37,8 @@ def test_support_round_trip():
                       | set(rng.sample(range(width - 50, width), 20)))
         rows = [linalg.from_support(rng.sample(live, rng.randint(1, 4)))
                 for _ in range(rng.randint(1, 30))]
-        ker = linalg.kernel_basis(rows, width)
+        cols = [linalg.from_support(c) for c in linalg.transpose(rows, width)]
+        ker = linalg.kernel_basis(cols)
         assert len(ker) == width - oracles.rank2(rows)
         live_mask = linalg.from_support(live)
         touching = [k for k in ker if k & live_mask]
@@ -71,7 +72,7 @@ def test_reduce_is_canonical_coset_form(rows, v):
     # the representative differs from v by a row-space element
     assert eb.reduce(red ^ v) == 0
     # no pivot coordinate survives in it
-    assert all(not (red >> p) & 1 for p in eb.pivots())
+    assert all(not (red >> p) & 1 for p in eb.rows_by_pivot())
     # canonical: equal cosets reduce identically
     for r in rows:
         assert eb.reduce(v ^ r) == red
@@ -95,8 +96,11 @@ def test_table_is_the_packed_rref(rows):
     eb = linalg.EchelonBasis(WIDTH)
     for r in rows:
         eb.insert(r)
-    table, reduced = eb.table(), oracles.rref(rows)
-    assert list(table) == sorted(reduced) == eb.pivots()
+    stored = eb.rows_by_pivot()
+    table, pivots = linalg.normal_forms(
+        (linalg.support(stored[p]) for p in sorted(stored)), WIDTH)
+    reduced = oracles.rref(rows)
+    assert list(table) == sorted(reduced) == pivots
     free = [c for c in range(WIDTH) if c not in table]
     for p, packed in table.items():
         row = (1 << p) | linalg.from_support(free[k] for k in linalg.support(packed))
@@ -120,14 +124,42 @@ def test_transpose_swaps_rows_and_columns(case):
     assert back == cols
 
 
-@given(vector_lists)
-def test_kernel_is_the_full_annihilator(rows):
-    ker = linalg.kernel_basis(rows, WIDTH)
+# few bits, so that columns are often dependent and kernels are not trivial
+columns = st.lists(st.one_of(st.just(0), st.integers(0, 63)), max_size=20)
+
+
+@given(columns)
+def test_kernel_is_the_full_annihilator(cols):
+    # every kernel vector sums its columns to 0, and they span the kernel
+    ker = linalg.kernel_basis(cols)
     for k in ker:
-        for r in rows:
-            assert bin(r & k).count("1") % 2 == 0
-    assert len(ker) == WIDTH - oracles.rank2(list(rows))
+        assert _xor(cols[c] for c in linalg.support(k)) == 0
+    assert len(ker) == len(cols) - oracles.rank2(list(cols))
     assert oracles.rank2(list(ker)) == len(ker)
+
+
+def _rref_kernel(cols):
+    """The oracle's rref kernel of the matrix with these columns: per free
+    coordinate f of its rows, ascending, f plus every pivot whose reduced
+    row has f's bit."""
+    height = max((v.bit_length() for v in cols), default=0)
+    rows = [linalg.from_support(c for c, v in enumerate(cols) if v >> r & 1)
+            for r in range(height)]
+    reduced = oracles.rref(rows)
+    return [1 << f | linalg.from_support(p for p, row in reduced.items() if row >> f & 1)
+            for f in range(len(cols)) if f not in reduced]
+
+
+@given(columns)
+def test_kernel_is_the_oracle_rref_kernel(cols):
+    assert linalg.kernel_basis(cols) == _rref_kernel(cols)
+
+
+def test_kernel_of_zero_and_empty_maps():
+    assert linalg.kernel_basis([]) == _rref_kernel([]) == []
+    assert linalg.kernel_basis([0, 0, 0]) == _rref_kernel([0, 0, 0]) == [1, 2, 4]
+    # column 1 is the sum of the columns above it, column 0 is zero
+    assert linalg.kernel_basis([0, 0b11, 0b01, 0b10]) == [0b0001, 0b1110]
 
 
 @given(vector_lists, st.integers(min_value=0))

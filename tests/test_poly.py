@@ -183,6 +183,16 @@ def test_substitution_rejects_singular_matrix():
         raise AssertionError("expected ValueError")
 
 
+def test_substitution_rejects_non_square_matrix():
+    # the first ignored its third column and the second failed inside linalg
+    for g in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 1], [0, 1, 0]]):
+        with pytest.raises(ValueError, match=r"^substitution matrix of 2 rows "
+                           r"of lengths \[3, 3\] is not square$"):
+            poly.linear_substitute(g, {(1, 2)})
+    with pytest.raises(ValueError, match="not square"):
+        poly.linear_substitute([[1, 0], [0]], {(1, 2)})
+
+
 def test_cartan_splits_are_the_odd_binomials():
     for j in range(-3, 301):
         want = tuple((t, j - t) for t in range(j + 1) if oracles.comb2(j - t, t))
